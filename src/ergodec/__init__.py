@@ -14,6 +14,7 @@ from .errors import (
     InvalidExponentError,
     InvalidShapeError,
     NegativeTimeError,
+    NonFiniteError,
     NonPositiveAlphaError,
     NonPositiveBetaError,
     NonPositivePhiError,

@@ -15,6 +15,10 @@ class NonPositiveWeightError(ErgodecError):
         super().__init__(message or f"non-positive weight at position {index}")
 
 
+class NonFiniteError(ErgodecError):
+    """A weight or matrix entry is NaN or infinite."""
+
+
 class NotAPartitionError(ErgodecError):
     pass
 

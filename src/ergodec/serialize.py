@@ -73,15 +73,17 @@ def family_from_json(obj: dict) -> MeasureFamily:
     return MeasureFamily(index, fibers)
 
 
+def _edge_list(points, jump) -> list:
+    """``[x, y, w]`` for each positive jump weight above the diagonal, row-major."""
+    rows, cols = np.nonzero(np.triu(jump, 1) > 0)
+    weights = jump[rows, cols].tolist()
+    return [[points[i], points[j], w] for i, j, w in zip(rows.tolist(), cols.tolist(), weights)]
+
+
 def form_to_json(form: DirichletForm) -> dict:
-    edges = []
-    for i in range(form.n):
-        for j in range(i + 1, form.n):
-            if form.jump[i, j] > 0:
-                edges.append([form.space.points[i], form.space.points[j], float(form.jump[i, j])])
     return {
         "space": space_to_json(form.space),
-        "edges": edges,
+        "edges": _edge_list(form.space.points, form.jump),
         "killing": [float(k) for k in form.killing],
     }
 
@@ -143,12 +145,7 @@ def decomposition_report(
         entry = {
             "support": list(fiber.space.points),
             "mu": [float(w) for w in fiber.space.mu],
-            "edges": [
-                [fiber.space.points[a], fiber.space.points[b], float(fiber.jump[a, b])]
-                for a in range(fiber.n)
-                for b in range(a + 1, fiber.n)
-                if fiber.jump[a, b] > 0
-            ],
+            "edges": _edge_list(fiber.space.points, fiber.jump),
             "killing": [float(k) for k in fiber.killing],
         }
         if fiber_classes is not None:

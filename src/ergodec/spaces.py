@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     EmptySpaceError,
+    NonFiniteError,
     NonPositiveWeightError,
     NotAPartitionError,
 )
@@ -40,7 +41,7 @@ class FiniteMeasureSpace:
         and matrix over this space.
     mu : sequence of float
         Weight of each point, aligned with ``points``.  All weights must be
-        strictly positive.
+        strictly positive and finite.
     """
 
     points: tuple
@@ -56,6 +57,8 @@ class FiniteMeasureSpace:
         for i, w in enumerate(self.mu):
             if not w > 0:
                 raise NonPositiveWeightError(i)
+            if w == np.inf:
+                raise NonFiniteError(f"infinite weight at position {i}")
         if len(set(self.points)) != len(self.points):
             raise ValueError("point labels must be distinct")
 

@@ -4,7 +4,8 @@ The oracles deliberately avoid the library's eigendecomposition code paths:
 the matrix exponential is a scaling-and-squaring truncated Taylor series,
 the resolvent oracle is a direct linear solve, invariant subsets are found
 by exhaustive search over all subsets evaluating the energy-splitting
-criterion directly, and Markovianity is probed by randomized contractions.
+criterion directly, and Markovianity is probed by randomized contractions
+and by a brute-force contraction-witness search.
 """
 
 import itertools
@@ -84,6 +85,44 @@ def random_contraction_search(matrix, rng, trials=200):
         g = np.clip(f, 0.0, 1.0)
         worst = max(worst, float(g @ matrix @ g - f @ matrix @ f))
     return worst
+
+
+def contraction_gain(matrix, f):
+    """Q(f+ ^ 1) - Q(f), evaluated densely."""
+    g = np.clip(f, 0.0, 1.0)
+    return float(g @ matrix @ g - f @ matrix @ f)
+
+
+def brute_force_witness(matrix, tol):
+    """Best contraction witness by scoring every candidate densely, O(n^4).
+
+    The candidates are e_x - (q_xy/q_yy) e_y for each coupling q_xy > tol with
+    q_yy > tol, in row-major order, then 1 + s e_x for each row sum below
+    -tol.  Returns ``(witness, gain)`` for the first candidate of largest
+    dense gain, or ``(None, 0.0)`` when no candidate has a positive gain.
+    """
+    q = np.asarray(matrix, dtype=float)
+    n = q.shape[0]
+    row_sums = q.sum(axis=1)
+    candidates = []
+    for x in range(n):
+        for y in range(n):
+            if x != y and q[x, y] > tol and q[y, y] > tol:
+                f = np.zeros(n)
+                f[x] = 1.0
+                f[y] = -q[x, y] / q[y, y]
+                candidates.append(f)
+    for x in range(n):
+        if row_sums[x] < -tol:
+            f = np.ones(n)
+            f[x] += -row_sums[x] / q[x, x] if q[x, x] > tol else 1.0
+            candidates.append(f)
+    if candidates:
+        best = max(candidates, key=lambda f: contraction_gain(q, f))
+        gain = contraction_gain(q, best)
+        if gain > 0:
+            return best, gain
+    return None, 0.0
 
 
 # ---------------------------------------------------------------- fixtures

@@ -4,6 +4,7 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 from ergodec import decompose, verify_decomposition
 from ergodec.cli import main
@@ -51,6 +52,28 @@ def test_non_markovian_input_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "witness" in err
+
+
+@pytest.mark.parametrize("command", ["decompose", "verify"])
+@pytest.mark.parametrize(
+    "instance, message",
+    [
+        ({"space": {"points": ["a", "b"], "mu": [1.0, 1.0]},
+          "edges": [["a", "b", float("nan")]]}, "is not finite"),
+        ({"space": {"points": ["a", "b"], "mu": [1.0, 1.0]},
+          "matrix": [[1.0, float("nan")], [float("nan"), 1.0]]}, "is not finite"),
+        ({"space": {"points": ["a", "b"], "mu": [1.0, float("inf")]},
+          "edges": [["a", "b", 1.0]]}, "infinite weight at position 1"),
+    ],
+    ids=["nan-edge-weight", "nan-matrix-entry", "inf-mu-weight"],
+)
+def test_non_finite_input_exits_2(tmp_path, capsys, command, instance, message):
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps(instance))
+    assert main([command, "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
 
 
 def test_malformed_json_reports_position(tmp_path, capsys):

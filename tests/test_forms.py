@@ -7,6 +7,7 @@ from ergodec import (
     DirichletForm,
     HasKillingError,
     NegativeTimeError,
+    NonFiniteError,
     NonPositiveAlphaError,
     NonPositiveBetaError,
     NonPositivePhiError,
@@ -28,7 +29,13 @@ from ergodec import (
     yosida_form,
 )
 
-from conftest import random_contraction_search, series_expm, solve_resolvent
+from conftest import (
+    brute_force_witness,
+    contraction_gain,
+    random_contraction_search,
+    series_expm,
+    solve_resolvent,
+)
 
 
 # ------------------------------------------------------------ markovianity
@@ -71,6 +78,77 @@ def test_is_markovian_rejects_negative_rowsum():
 def test_is_markovian_raises_not_psd(fx_edge):
     with pytest.raises(NotPSDError):
         is_markovian(np.array([[0.0, 1.0], [1.0, 0.0]]), fx_edge.space)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_is_markovian_rejects_non_finite_entries(fx_edge, bad):
+    q = np.array([[1.0, -1.0], [-1.0, bad]])
+    with pytest.raises(NonFiniteError, match=r"\(1, 1\)"):
+        is_markovian(q, fx_edge.space)
+
+
+def test_is_markovian_row_witness_with_tiny_diagonal(fx_edge):
+    # Row sum 1e-15 - 1e-8 < -tol at a, whose diagonal is below tol: the
+    # witness pushes the constant up by 1 there, gaining -2 r_a - q_aa.
+    q = np.array([[1e-15, -1e-8], [-1e-8, 1.0]])
+    ok, witness = is_markovian(q, fx_edge.space)
+    assert not ok
+    assert witness.tolist() == [2.0, 1.0]
+    assert contraction_gain(q, witness) == pytest.approx(2e-8 - 3e-15, rel=1e-6)
+
+
+def test_is_markovian_ranks_tiny_diagonal_row_by_its_gain():
+    # Row a (diagonal below tol) gains about 2e-8; row c gains d^2 = 1.5e-8
+    # with the witness 1 + d e_c, so row a must win.
+    d = np.sqrt(1.5e-8)
+    space = validate_space([("a", 1.0), ("b", 1.0), ("c", 1.0)])
+    q = np.array([[1e-15, -1e-8, 0.0], [-1e-8, 4.0, -1.0 - d], [0.0, -1.0 - d, 1.0]])
+    assert contraction_gain(q, np.array([1.0, 1.0, 1.0 + d])) == pytest.approx(1.5e-8)
+    ok, witness = is_markovian(q, space)
+    assert not ok
+    assert witness.tolist() == [2.0, 1.0, 1.0]
+
+
+def test_is_markovian_tie_goes_to_the_coupling():
+    # The coupling (0, 1) gains 2^2/4 = 1 and the row sum -1 at point 2 gains
+    # (-1)^2/1 = 1: on a tie the coupling wins.
+    space = validate_space([("a", 1.0), ("b", 1.0), ("c", 1.0)])
+    q = np.array([[8.0, 2.0, -2.0], [2.0, 4.0, 0.0], [-2.0, 0.0, 1.0]])
+    ok, witness = is_markovian(q, space)
+    assert not ok
+    assert witness.tolist() == [1.0, -0.5, 0.0]
+    assert contraction_gain(q, witness) == contraction_gain(q, np.array([1.0, 1.0, 2.0])) == 1.0
+
+
+def test_is_markovian_coupling_just_above_tol(fx_edge):
+    # tol = 1e-14 * (1 + 1): the coupling 3e-14 is a candidate, but its gain
+    # 9e-28 is below roundoff, so the matrix is accepted with no jump.
+    c = 3e-14
+    ok, (jump, killing) = is_markovian(np.array([[1.0, c], [c, 1.0]]), fx_edge.space)
+    assert ok
+    assert jump.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    assert killing.tolist() == [1.0 + c, 1.0 + c]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.1, 1.0]))
+def test_is_markovian_matches_brute_force_witness(n, seed, strength):
+    # A graph Laplacian with killing plus a rank-one PSD term, which adds
+    # positive couplings and negative row sums when its strength is nonzero.
+    rng = np.random.default_rng(seed)
+    jump = np.triu(rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.5), 1)
+    jump = jump + jump.T
+    killing = rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) < 0.3)
+    v = rng.normal(size=n)
+    q = np.diag(jump.sum(axis=1) + killing) - jump + strength * np.outer(v, v)
+    space = validate_space([(i, 1.0) for i in range(n)])
+    scale = 1.0 + np.abs(q).max()
+    expected, expected_gain = brute_force_witness(q, 1e-14 * scale)
+    ok, payload = is_markovian(q, space)
+    assert ok == (expected is None)
+    if not ok:
+        size = max(1.0, payload @ payload, expected @ expected)
+        assert abs(contraction_gain(q, payload) - expected_gain) <= 1e-12 * scale * size
 
 
 def test_markov_soundness_on_random_instances():

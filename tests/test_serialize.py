@@ -13,6 +13,7 @@ from ergodec import (
     verify_decomposition,
 )
 from ergodec.serialize import (
+    _edge_list,
     block_operator_from_json,
     block_operator_to_json,
     decomposition_report,
@@ -23,7 +24,7 @@ from ergodec.serialize import (
     space_from_json,
     space_to_json,
 )
-from ergodec import disintegrate_over_partition
+from ergodec import disintegrate_over_partition, random_form
 
 
 def test_space_round_trip():
@@ -95,3 +96,32 @@ def test_decomposition_report_schema(fx_twin_kill):
     assert json.dumps(report) == json.dumps(
         decomposition_report(dec, verify_decomposition(dec), classes)
     )
+
+
+def naive_edge_list(points, jump):
+    edges = []
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            if jump[i, j] > 0:
+                edges.append([points[i], points[j], float(jump[i, j])])
+    return edges
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("tuple_labels", [False, True])
+def test_edge_list_matches_naive_loop(seed, tuple_labels):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    form = random_form(seed, n, int(rng.integers(1, n + 1)), killing_prob=0.2, density=0.3)
+    obj = form_to_json(form)
+    if tuple_labels:
+        # Nested JSON lists come back as tuple labels.
+        labels = {x: [i % 3, i // 3] for i, x in enumerate(obj["space"]["points"])}
+        obj["space"]["points"] = [labels[x] for x in obj["space"]["points"]]
+        obj["edges"] = [[labels[x], labels[y], w] for x, y, w in obj["edges"]]
+    form = form_from_json(json.loads(json.dumps(obj)))
+    expected = naive_edge_list(form.space.points, form.jump)
+    edges = _edge_list(form.space.points, form.jump)
+    assert repr(edges) == repr(expected)
+    assert json.dumps(edges) == json.dumps(expected)
+    assert form_to_json(form)["edges"] == expected

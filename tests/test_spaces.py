@@ -6,6 +6,7 @@ from ergodec import (
     Fiber,
     IndexSpace,
     MeasureFamily,
+    NonFiniteError,
     NonPositiveWeightError,
     NotAPartitionError,
     disintegrate_over_partition,
@@ -21,6 +22,11 @@ def test_validate_space_identity():
     assert space.points == ("a", "b")
     assert np.array_equal(space.mu, [1.0, 1.0])
     assert space.total_mass == 2.0
+
+
+def test_validate_space_rejects_infinite_weight():
+    with pytest.raises(NonFiniteError, match="position 1"):
+        validate_space([("a", 1.0), ("b", np.inf)])
 
 
 def test_validate_space_rejects_zero_weight():
