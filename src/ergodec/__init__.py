@@ -6,7 +6,10 @@ the decomposition of a form over its invariant sets is an exactly checkable
 block splitting of the energy matrix, the semigroup and the resolvent.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
+    ConsistencyError,
     EmptySpaceError,
     ErgodecError,
     FiberDimensionMismatchError,
@@ -101,4 +104,7 @@ from .generate import random_form
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

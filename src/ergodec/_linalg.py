@@ -27,14 +27,18 @@ def semigroup_from_eig(eig, t: float) -> np.ndarray:
     """e^{tL} from the symmetrized eigendecomposition of -L."""
     w, v, sqrt_mu = eig
     core = (v * np.exp(-t * w)) @ v.T
-    return core / sqrt_mu[:, None] * sqrt_mu[None, :]
+    core /= sqrt_mu[:, None]
+    core *= sqrt_mu[None, :]
+    return core
 
 
 def resolvent_from_eig(eig, alpha: float) -> np.ndarray:
     """(alpha - L)^{-1} from the symmetrized eigendecomposition of -L."""
     w, v, sqrt_mu = eig
     core = (v / (alpha + w)) @ v.T
-    return core / sqrt_mu[:, None] * sqrt_mu[None, :]
+    core /= sqrt_mu[:, None]
+    core *= sqrt_mu[None, :]
+    return core
 
 
 def weighted_operator_norm(matrix: np.ndarray, weights: np.ndarray) -> float:
@@ -75,9 +79,3 @@ def chebyshev_coefficients(func, bound: float, degree: int) -> np.ndarray:
     )
     return series.coef
 
-
-def scatter_block(n: int, indices: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Embed a block matrix at the given indices of an n x n zero matrix."""
-    out = np.zeros((n, n))
-    out[np.ix_(indices, indices)] = block
-    return out

@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 2 on validation errors (malformed input, a
 non-Markovian matrix, an infeasible generator shape), 3 when a computation
-succeeds but a residual exceeds the tolerance.
+succeeds but a residual exceeds the tolerance or two internal consistency
+checks disagree.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .ergodic import (
     ergodic_measures,
     verify_decomposition,
 )
-from .errors import ErgodecError, NotMarkovianError
+from .errors import ConsistencyError, ErgodecError, NotMarkovianError
 from .forms import carre_du_champ, classify, girsanov_transform
 from .generate import random_form
 from .serialize import (
@@ -58,9 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fail(message: str) -> int:
+def _fail(message: str, code: int = 2) -> int:
     print(f"error: {message}", file=sys.stderr)
-    return 2
+    return code
 
 
 def _load_form(path):
@@ -257,6 +258,8 @@ def main(argv=None) -> int:
             witness = ", ".join(f"{v:.12g}" for v in np.asarray(exc.witness))
             return _fail(f"{exc} (contraction witness: [{witness}])")
         return _fail(str(exc))
+    except ConsistencyError as exc:
+        return _fail(str(exc), 3)
     except ErgodecError as exc:
         return _fail(str(exc))
 

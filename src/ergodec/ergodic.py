@@ -17,9 +17,9 @@ from typing import Mapping
 
 import numpy as np
 
-from ._linalg import scatter_block
 from .direct_integral import assemble_l2
 from .errors import (
+    ConsistencyError,
     HasKillingError,
     NonPositivePhiError,
     NotInvariantError,
@@ -28,6 +28,7 @@ from .errors import (
 from .forms import (
     Classification,
     DirichletForm,
+    _classify,
     carre_du_champ,
     classify,
     girsanov_transform,
@@ -41,6 +42,18 @@ from .spaces import (
     QuotientMap,
     disintegrate_over_partition,
 )
+
+
+def _assemble_blocks(out: np.ndarray, layout, blocks) -> np.ndarray:
+    """Write each block at its layout positions of ``out``, in place.
+
+    The blocks of a layout are disjoint, so on a zero buffer this is the
+    exact block-diagonal sum, and a buffer can be reused for another set of
+    blocks over the same layout.
+    """
+    for idx, block in zip(layout, blocks):
+        out[np.ix_(idx, idx)] = block
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,7 +90,7 @@ class ErgodicDecomposition:
     def restrict(self, f) -> tuple:
         """Restrict a global vector to every fiber, in index order."""
         f = np.asarray(f, dtype=float)
-        return tuple(f[self.quotient.block_indices(z)] for z in self.labels)
+        return tuple(f[idx] for idx in self.quotient._layout)
 
     def reassembled_energy(self, f, g=None) -> float:
         f = np.asarray(f, dtype=float)
@@ -90,10 +103,8 @@ class ErgodicDecomposition:
 
     def reassembled_matrix(self) -> np.ndarray:
         n = self.form.n
-        out = np.zeros((n, n))
-        for z, fiber in zip(self.labels, self.fibers):
-            idx = self.quotient.block_indices(z)
-            out += self.quotient.index.weight(z) * scatter_block(n, idx, fiber.matrix)
+        weighted = (w * fiber.matrix for w, fiber in zip(self.quotient.index.nu, self.fibers))
+        out = _assemble_blocks(np.zeros((n, n)), self.quotient._layout, weighted)
         return self.normalization_scale * out
 
 
@@ -104,8 +115,14 @@ def decompose(form: DirichletForm) -> ErgodicDecomposition:
     recorded; only the index weights depend on the scale.  Fiber energy
     matrices are the diagonal blocks of the energy matrix divided by the raw
     block mass, which is the unique choice making the fiber semigroups the
-    blocks of the global semigroup on the probability fibers (validated via
+    blocks of the global semigroup on the probability fibers (checked via
     the generator blocks at construction).
+
+    Fibers are not re-validated: a principal block of a validated form over
+    an invariant set is Markovian and positive semidefinite by construction,
+    so no fiber runs the ``eigvalsh`` and witness search of
+    :func:`~ergodec.forms.is_markovian`.  :func:`verify_decomposition` stays
+    the independent dense check of the result.
     """
     partition = invariant_sets(form)
     scale = form.space.total_mass
@@ -113,14 +130,10 @@ def decompose(form: DirichletForm) -> ErgodicDecomposition:
 
     fibers = []
     generator_defect = 0.0
-    for z in qmap.index.labels:
-        block = qmap.blocks[z]
-        idx = form.space.indices_of(block)
+    for z, idx in zip(qmap.index.labels, qmap._layout):
         raw_mass = float(form.space.mu[idx].sum())
         fiber_space = family.fibers[z].as_space()
-        fiber = DirichletForm.from_matrix(
-            fiber_space, form.matrix[np.ix_(idx, idx)] / raw_mass
-        )
+        fiber = DirichletForm._trusted(fiber_space, form.matrix[np.ix_(idx, idx)] / raw_mass)
         block_generator = form.generator[np.ix_(idx, idx)]
         generator_defect = max(
             generator_defect, float(np.abs(fiber.generator - block_generator).max())
@@ -187,23 +200,20 @@ def verify_decomposition(
     scale = 1.0 + float(np.abs(form.matrix).max())
     form_defect = float(np.abs(dec.reassembled_matrix() - form.matrix).max()) / scale
 
-    block_indices = [dec.quotient.block_indices(z) for z in dec.labels]
+    # One buffer serves every parameter: each pass rewrites all the blocks
+    # and the entries off the blocks stay zero.
+    layout = dec.quotient._layout
+    assembled = np.zeros((n, n))
 
     semi_defects = {}
     for t in times:
-        global_t = semigroup(form, t)
-        assembled = np.zeros((n, n))
-        for idx, fiber in zip(block_indices, dec.fibers):
-            assembled += scatter_block(n, idx, semigroup(fiber, t))
-        semi_defects[t] = float(np.linalg.norm(global_t - assembled, "fro"))
+        _assemble_blocks(assembled, layout, (semigroup(fiber, t) for fiber in dec.fibers))
+        semi_defects[t] = float(np.linalg.norm(semigroup(form, t) - assembled, "fro"))
 
     res_defects = {}
     for a in alphas:
-        global_g = resolvent(form, a)
-        assembled = np.zeros((n, n))
-        for idx, fiber in zip(block_indices, dec.fibers):
-            assembled += scatter_block(n, idx, resolvent(fiber, a))
-        res_defects[a] = float(np.linalg.norm(global_g - assembled, "fro"))
+        _assemble_blocks(assembled, layout, (resolvent(fiber, a) for fiber in dec.fibers))
+        res_defects[a] = float(np.linalg.norm(resolvent(form, a) - assembled, "fro"))
 
     rng = np.random.default_rng(0) if rng is None else rng
     normalized = dec.quotient.space
@@ -341,9 +351,7 @@ def decompose_weighted(form: DirichletForm, phi) -> WeightedDecomposition:
 
     lifted_measures = []
     lifted_forms = []
-    reassembly_defect = 0.0
-    for z, fiber in zip(base.labels, base.fibers):
-        idx = form.space.indices_of(base.quotient.blocks[z])
+    for idx, fiber in zip(base.quotient._layout, base.fibers):
         phi_sq = phi[idx] ** 2
         measure = fiber.space.mu / phi_sq
         reweight = 0.5 * (phi_sq[:, None] + phi_sq[None, :])
@@ -360,12 +368,8 @@ def decompose_weighted(form: DirichletForm, phi) -> WeightedDecomposition:
         lifted_forms=tuple(lifted_forms),
         residuals={},
     )
-    reassembled = np.zeros((form.n, form.n))
-    for z, fiber in zip(dec.labels, dec.lifted_forms):
-        idx = base.quotient.block_indices(z)
-        reassembled += base.quotient.index.weight(z) * scatter_block(
-            form.n, idx, fiber.matrix
-        )
+    weighted = (w * fiber.matrix for w, fiber in zip(base.quotient.index.nu, lifted_forms))
+    reassembled = _assemble_blocks(np.zeros((form.n, form.n)), base.quotient._layout, weighted)
     reassembly_defect = float(np.abs(reassembled - form.matrix).max())
     object.__setattr__(dec, "residuals", {"form_reassembly": reassembly_defect})
     return dec
@@ -439,9 +443,13 @@ def ergodic_measures(form: DirichletForm, *, tol: float = 1e-10) -> tuple:
     to the killing-free components; invariance of each returned measure is
     verified against the semigroup on the standard basis.
     """
-    t1 = semigroup(form, 1.0)
+    return _ergodic_measures(form, semigroup(form, 1.0), tol)
+
+
+def _ergodic_measures(form: DirichletForm, t1: np.ndarray, tol: float = 1e-10) -> tuple:
+    """:func:`ergodic_measures` with the time-one semigroup matrix supplied."""
     out = []
-    for z, comp in classify(form).per_component.items():
+    for z, comp in _classify(form, t1).per_component.items():
         if comp.transient:
             continue
         idx = form.space.indices_of(comp.points)
@@ -449,7 +457,9 @@ def ergodic_measures(form: DirichletForm, *, tol: float = 1e-10) -> tuple:
         weights[idx] = form.space.mu[idx] / form.space.mu[idx].sum()
         defect = float(np.abs(t1.T @ weights - weights).max())
         if defect > tol:
-            raise RuntimeError(f"stationarity check failed on component {comp.points}")
+            raise ConsistencyError(
+                f"stationarity check failed on component {comp.points}", {"stationarity": defect}
+            )
         out.append(ErgodicMeasure(comp.points, weights))
     return tuple(out)
 
@@ -498,7 +508,7 @@ def decompose_invariant_measure(
     if defect > tol * max(1.0, float(eta.max(initial=0.0))):
         raise NotInvariantError(defect)
 
-    measures = ergodic_measures(form)
+    measures = _ergodic_measures(form, t1)
     weights = np.array(
         [float(eta[form.space.indices_of(m.component)].sum()) for m in measures]
     )

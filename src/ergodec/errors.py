@@ -92,3 +92,11 @@ class NotInvariantError(ErgodecError):
 
 class InvalidShapeError(ErgodecError):
     pass
+
+
+class ConsistencyError(ErgodecError):
+    """Two internal criteria that must agree on a valid form disagree."""
+
+    def __init__(self, message, defects=None):
+        self.defects = defects
+        super().__init__(message)

@@ -26,6 +26,7 @@ from ._linalg import (
     symmetrized_eig,
 )
 from .errors import (
+    ConsistencyError,
     HasKillingError,
     NegativeTimeError,
     NonFiniteError,
@@ -46,6 +47,14 @@ _PSD_RTOL = 1e-12
 
 def _matrix_scale(matrix) -> float:
     return 1.0 + float(np.abs(matrix).max())
+
+
+def _jump_killing(q: np.ndarray):
+    """The (jump, killing) pair of a symmetric Markovian matrix."""
+    jump = np.negative(q)
+    np.maximum(jump, 0.0, out=jump)
+    np.fill_diagonal(jump, 0.0)
+    return jump, np.maximum(q.sum(axis=1), 0.0)
 
 
 def _contraction_energy_drop(matrix, f):
@@ -143,10 +152,7 @@ def is_markovian(matrix, space: FiniteMeasureSpace, *, tol: float | None = None)
             best[x] += -row_sums[x] / q[x, x] if q[x, x] > tol else 1.0
     if best is not None and _contraction_energy_drop(q, best) > 0:
         return False, best
-
-    jump = np.where(off_diagonal, np.maximum(-q, 0.0), 0.0)
-    killing = np.maximum(row_sums, 0.0)
-    return True, (jump, killing)
+    return True, _jump_killing(q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,6 +189,30 @@ class DirichletForm:
     def from_matrix(cls, space: FiniteMeasureSpace, matrix) -> "DirichletForm":
         matrix = np.asarray(matrix, dtype=float)
         return cls(space, 0.5 * (matrix + matrix.T))
+
+    @classmethod
+    def _trusted(cls, space: FiniteMeasureSpace, matrix) -> "DirichletForm":
+        """Build a form without validation, for matrices Markovian by construction.
+
+        A principal block of a validated form over an invariant set, or a
+        positive multiple of one, is symmetric, PSD and Markovian.  The
+        matrix is symmetrized as in :meth:`from_matrix` and the jump and
+        killing data come from the accept branch of :func:`is_markovian`,
+        so the result equals ``from_matrix(space, matrix)`` exactly, without
+        its ``eigvalsh`` and witness search.
+        """
+        matrix = np.asarray(matrix, dtype=float)
+        matrix = matrix + matrix.T
+        matrix *= 0.5
+        jump, killing = _jump_killing(matrix)
+        for array in (matrix, jump, killing):
+            array.flags.writeable = False
+        form = object.__new__(cls)
+        object.__setattr__(form, "space", space)
+        object.__setattr__(form, "matrix", matrix)
+        object.__setattr__(form, "_jump", jump)
+        object.__setattr__(form, "_killing", killing)
+        return form
 
     @classmethod
     def from_jump_kernel(cls, space: FiniteMeasureSpace, jump, killing=None) -> "DirichletForm":
@@ -358,7 +388,7 @@ def is_invariant(form: DirichletForm, subset: Iterable, *, tol: float = 1e-10):
     }
     verdicts = {k: v <= tol * scale for k, v in defects.items()}
     if len(set(verdicts.values())) != 1:
-        raise RuntimeError(f"invariance criteria disagree: {defects}")
+        raise ConsistencyError(f"invariance criteria disagree: {defects}", defects)
     verdict = next(iter(verdicts.values()))
     return verdict, InvarianceReport(defects, tol * scale, verdict)
 
@@ -455,21 +485,30 @@ def classify(form: DirichletForm, *, tol: float = 1e-10) -> Classification:
     splits as the union of recurrent blocks plus the union of transient
     blocks, with nothing left over.
     """
+    return _classify(form, semigroup(form, 1.0), tol)
+
+
+def _classify(form: DirichletForm, t1: np.ndarray, tol: float = 1e-10) -> Classification:
+    """:func:`classify` with the time-one semigroup matrix supplied."""
     blocks = invariant_sets(form)
     scale = _matrix_scale(form.matrix)
-    t1_mass = semigroup(form, 1.0) @ np.ones(form.n)
+    t1_mass = t1 @ np.ones(form.n)
 
     per = {}
     cons_points, trans_points = [], []
     for i, block in enumerate(blocks):
         idx = form.space.indices_of(block)
-        killing_free = form.killing[idx].max(initial=0.0) <= 1e-12 * scale
+        killing = float(form.killing[idx].max(initial=0.0))
+        killing_free = killing <= 1e-12 * scale
         mass_defect = float(np.abs(t1_mass[idx] - 1.0).max())
         energy_floor = float(np.linalg.eigvalsh(form.matrix[np.ix_(idx, idx)])[0])
         conservative = mass_defect <= tol
         transient = energy_floor > 1e-12 * scale
         if conservative != killing_free or transient == killing_free:
-            raise RuntimeError(f"classification criteria disagree on block {block}")
+            raise ConsistencyError(
+                f"classification criteria disagree on block {block}",
+                {"mass_defect": mass_defect, "energy_floor": energy_floor, "killing": killing},
+            )
         per[f"z{i}"] = ComponentClassification(
             block, conservative, transient, not transient, mass_defect, energy_floor
         )

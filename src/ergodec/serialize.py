@@ -43,9 +43,13 @@ def space_from_json(obj: dict) -> FiniteMeasureSpace:
     return validate_space(zip(_labels(points), mu))
 
 
+def _label(point):
+    # JSON lists are unhashable; turn list labels into tuples.
+    return tuple(point) if isinstance(point, list) else point
+
+
 def _labels(points) -> tuple:
-    # JSON lists are unhashable; turn nested labels into tuples.
-    return tuple(tuple(p) if isinstance(p, list) else p for p in points)
+    return tuple(map(_label, points))
 
 
 def family_to_json(family: MeasureFamily) -> dict:
@@ -93,15 +97,33 @@ def form_from_json(obj: dict) -> DirichletForm:
     space = space_from_json(obj["space"])
     if "matrix" in obj:
         return DirichletForm.from_matrix(space, np.array(obj["matrix"], dtype=float))
-    jump = np.zeros((space.n, space.n))
-    for x, y, w in obj.get("edges", []):
-        i = space.index_of(_labels([x])[0])
-        j = space.index_of(_labels([y])[0])
-        jump[i, j] = jump[j, i] = float(w)
+    jump = _jump_from_edges(space, obj.get("edges", []))
     killing = obj.get("killing")
     if killing is not None:
         killing = np.array(killing, dtype=float)
     return DirichletForm.from_jump_kernel(space, jump, killing)
+
+
+_EDGE = np.dtype([("x", np.intp), ("y", np.intp), ("w", float)])
+
+
+def _jump_from_edges(space: FiniteMeasureSpace, edges) -> np.ndarray:
+    """Symmetric jump matrix of ``[x, y, w]`` edges; a repeated pair keeps its last weight."""
+    n = space.n
+    jump = np.zeros((n, n))
+    index = space.index_of
+    parsed = np.fromiter(
+        ((index(_label(x)), index(_label(y)), float(w)) for x, y, w in edges),
+        dtype=_EDGE, count=len(edges),
+    )
+    rows, cols, weights = parsed["x"], parsed["y"], parsed["w"]
+    # The last edge of each unordered pair wins, in either orientation.
+    pair = np.minimum(rows, cols) * n + np.maximum(rows, cols)
+    _, from_end = np.unique(pair[::-1], return_index=True)
+    last = len(pair) - 1 - from_end
+    rows, cols, weights = rows[last], cols[last], weights[last]
+    jump[np.concatenate([rows, cols]), np.concatenate([cols, rows])] = np.concatenate([weights, weights])
+    return jump
 
 
 def block_operator_to_json(op: DecomposableOperator) -> dict:

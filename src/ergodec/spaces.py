@@ -30,6 +30,15 @@ def _readonly(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _check_weights(weights: np.ndarray) -> None:
+    """Raise on the first weight that is not strictly positive and finite."""
+    for i, w in enumerate(weights):
+        if not w > 0:
+            raise NonPositiveWeightError(i)
+        if w == np.inf:
+            raise NonFiniteError(f"infinite weight at position {i}")
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteMeasureSpace:
     """A finite ordered point set with strictly positive weights.
@@ -54,11 +63,7 @@ class FiniteMeasureSpace:
             raise EmptySpaceError("a measure space needs at least one point")
         if self.mu.ndim != 1 or len(self.mu) != len(self.points):
             raise ValueError("weight vector must align with the point list")
-        for i, w in enumerate(self.mu):
-            if not w > 0:
-                raise NonPositiveWeightError(i)
-            if w == np.inf:
-                raise NonFiniteError(f"infinite weight at position {i}")
+        _check_weights(self.mu)
         if len(set(self.points)) != len(self.points):
             raise ValueError("point labels must be distinct")
 
@@ -132,9 +137,7 @@ class IndexSpace:
             raise EmptySpaceError("an index space needs at least one label")
         if self.nu.ndim != 1 or len(self.nu) != len(self.labels):
             raise ValueError("index weights must align with the labels")
-        for i, w in enumerate(self.nu):
-            if not w > 0:
-                raise NonPositiveWeightError(i)
+        _check_weights(self.nu)
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("index labels must be distinct")
 
@@ -167,9 +170,7 @@ class Fiber:
             raise EmptySpaceError("fiber support is empty")
         if len(self.weights) != len(self.support):
             raise ValueError("fiber weights must align with the support")
-        for i, w in enumerate(self.weights):
-            if not w > 0:
-                raise NonPositiveWeightError(i)
+        _check_weights(self.weights)
         if len(set(self.support)) != len(self.support):
             raise ValueError("fiber support labels must be distinct")
 
@@ -229,8 +230,18 @@ class QuotientMap:
             out[self.assignment[x]].append(x)
         return {z: tuple(v) for z, v in out.items()}
 
+    @cached_property
+    def _layout(self) -> tuple:
+        """Point positions of every block, in index label order.
+
+        The blocks are disjoint, so writing each block of a block-diagonal
+        matrix into one zero buffer through this layout assembles it exactly.
+        """
+        return tuple(_readonly(self.space.indices_of(self.blocks[z]), dtype=int)
+                     for z in self.index.labels)
+
     def block_indices(self, label) -> np.ndarray:
-        return self.space.indices_of(self.blocks[label])
+        return self._layout[self.index.position(label)]
 
     def __call__(self, point):
         return self.assignment[point]
@@ -289,11 +300,8 @@ def disintegrate_over_partition(
     """
     qmap = quotient_by_invariant_partition(space, partition)
     fibers = {}
-    for z in qmap.index.labels:
-        block = qmap.blocks[z]
-        idx = space.indices_of(block)
-        mass = qmap.index.weight(z)
-        fibers[z] = Fiber(block, space.mu[idx] / mass)
+    for z, idx, mass in zip(qmap.index.labels, qmap._layout, qmap.index.nu):
+        fibers[z] = Fiber(qmap.blocks[z], space.mu[idx] / mass)
     return qmap, MeasureFamily(qmap.index, fibers)
 
 

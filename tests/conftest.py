@@ -4,8 +4,9 @@ The oracles deliberately avoid the library's eigendecomposition code paths:
 the matrix exponential is a scaling-and-squaring truncated Taylor series,
 the resolvent oracle is a direct linear solve, invariant subsets are found
 by exhaustive search over all subsets evaluating the energy-splitting
-criterion directly, and Markovianity is probed by randomized contractions
-and by a brute-force contraction-witness search.
+criterion directly, Markovianity is probed by randomized contractions and
+by a brute-force contraction-witness search, and block-diagonal matrices
+are summed one embedded block at a time.
 """
 
 import itertools
@@ -123,6 +124,16 @@ def brute_force_witness(matrix, tol):
         if gain > 0:
             return best, gain
     return None, 0.0
+
+
+def naive_block_sum(n, index_groups, blocks):
+    """Sum of the blocks, each embedded in a fresh n x n zero matrix."""
+    out = np.zeros((n, n))
+    for idx, block in zip(index_groups, blocks):
+        embedded = np.zeros((n, n))
+        embedded[np.ix_(idx, idx)] = block
+        out += embedded
+    return out
 
 
 # ---------------------------------------------------------------- fixtures

@@ -203,3 +203,53 @@ def test_generate_decompose_verify_round_trip(tmp_path):
         assert len(dec.fibers) == comps
         assert verify_decomposition(dec).passed
     assert time.monotonic() - start < 60.0
+
+
+# Inputs on which the classification criteria disagree: killing far below
+# the mass-defect tolerance, and a tiny weight under a huge jump.
+CONSISTENCY_INPUTS = {
+    "small-killing-path": {
+        "space": {"points": [0, 1, 2], "mu": [1.0, 1.0, 1.0]},
+        "edges": [[0, 1, 1.0], [1, 2, 1.0]],
+        "killing": [1e-11, 0.0, 0.0],
+    },
+    "tiny-mu-huge-jump": {
+        "space": {"points": ["a", "b"], "mu": [1e-300, 1.0]},
+        "edges": [["a", "b", 1e300]],
+    },
+}
+
+
+@pytest.mark.parametrize("command", ["classify", "decompose", "measures"])
+@pytest.mark.parametrize("instance", sorted(CONSISTENCY_INPUTS))
+def test_consistency_failure_exits_3(tmp_path, command, instance):
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(CONSISTENCY_INPUTS[instance]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ergodec", command, "--input", str(path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("error: classification criteria disagree")
+    assert proc.stdout == ""
+
+
+def test_measures_builds_time_one_semigroup_twice(tmp_path, monkeypatch, capsys):
+    import ergodec.forms
+
+    from ergodec import random_form
+
+    form = random_form(2, 30, 4)
+    assert form.killing_free
+    original = ergodec.forms.semigroup_from_eig
+    calls = []
+
+    def counted(eig, t):
+        calls.append(t)
+        return original(eig, t)
+
+    monkeypatch.setattr(ergodec.forms, "semigroup_from_eig", counted)
+    assert main(["measures", "--input", write_form(tmp_path, form)]) == 0
+    assert calls == [1.0, 1.0]
+    assert json.loads(capsys.readouterr().out)["mu_mixture"] is not None

@@ -349,3 +349,91 @@ def test_classification_decomposition_kill(fx_kill):
     out = classification_decomposition(decompose(fx_kill))
     assert out.consistent
     assert out.overall.transient and not out.overall.conservative
+
+
+# ------------------------------------------------- blockwise fast paths
+
+
+def multi_block_forms():
+    """Random multi-block forms, with and without killing, one nearly symmetric."""
+    forms = []
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(8, 40))
+        comps = int(rng.integers(2, n // 2))
+        forms.append(random_form(seed, n, comps, killing_prob=0.3 * (seed % 2)))
+    form = forms[0]
+    noise = np.random.default_rng(99).uniform(-1.0, 1.0, size=(form.n, form.n))
+    forms.append(DirichletForm(form.space, form.matrix + 1e-15 * (noise - noise.T)))
+    return forms
+
+
+@pytest.mark.parametrize("form", multi_block_forms())
+def test_trusted_fibers_equal_validated_fibers(form):
+    dec = decompose(form)
+    for idx, fiber in zip(dec.quotient._layout, dec.fibers):
+        raw_mass = float(form.space.mu[idx].sum())
+        block = form.matrix[np.ix_(idx, idx)] / raw_mass
+        expected = DirichletForm.from_matrix(fiber.space, block)
+        assert np.array_equal(fiber.matrix, expected.matrix)
+        assert np.array_equal(fiber.jump, expected.jump)
+        assert np.array_equal(fiber.killing, expected.killing)
+        assert not fiber.matrix.flags.writeable
+
+
+@pytest.mark.parametrize("form", multi_block_forms())
+def test_block_assembly_matches_naive_sum(form):
+    from ergodec.ergodic import _assemble_blocks
+    from ergodec.forms import resolvent, semigroup
+
+    from conftest import naive_block_sum
+
+    dec = decompose(form)
+    n, layout = form.n, dec.quotient._layout
+    weighted = [w * f.matrix for w, f in zip(dec.quotient.index.nu, dec.fibers)]
+    expected = dec.normalization_scale * naive_block_sum(n, layout, weighted)
+    assert np.array_equal(dec.reassembled_matrix(), expected)
+
+    report = verify_decomposition(dec, times=(0.5, 2.0), alphas=(1.0, 3.0))
+    buffer = np.zeros((n, n))
+    for t in (0.5, 2.0):
+        naive = naive_block_sum(n, layout, [semigroup(f, t) for f in dec.fibers])
+        assert np.array_equal(_assemble_blocks(buffer, layout, [semigroup(f, t) for f in dec.fibers]), naive)
+        assert report.semigroup_defects[t] == float(np.linalg.norm(semigroup(form, t) - naive, "fro"))
+    for a in (1.0, 3.0):
+        naive = naive_block_sum(n, layout, [resolvent(f, a) for f in dec.fibers])
+        assert np.array_equal(_assemble_blocks(buffer, layout, [resolvent(f, a) for f in dec.fibers]), naive)
+        assert report.resolvent_defects[a] == float(np.linalg.norm(resolvent(form, a) - naive, "fro"))
+
+
+def test_weighted_reassembly_matches_naive_sum():
+    from conftest import naive_block_sum
+
+    form = random_form(5, 24, 5)
+    phi = np.random.default_rng(5).uniform(0.5, 1.5, size=form.n)
+    wdec = decompose_weighted(form, phi)
+    quotient = wdec.base.quotient
+    weighted = [w * f.matrix for w, f in zip(quotient.index.nu, wdec.lifted_forms)]
+    naive = naive_block_sum(form.n, quotient._layout, weighted)
+    assert wdec.residuals["form_reassembly"] == float(np.abs(naive - form.matrix).max())
+
+
+@pytest.mark.parametrize("killing_prob", [0.0, 0.3])
+def test_decompose_and_verify_eigendecomposition_count(monkeypatch, killing_prob):
+    form = random_form(3, 30, 6, killing_prob=killing_prob)
+    calls = {"eigh": 0, "eigvalsh": 0}
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    dec = decompose(form)
+    assert verify_decomposition(dec).passed
+    assert calls == {"eigh": 1 + len(dec.fibers), "eigvalsh": 0}

@@ -595,3 +595,18 @@ def test_classify_mixed(fx_twin_kill):
     assert not cls.recurrent and not cls.transient and not cls.conservative
     flags = {z: (c.recurrent, c.transient) for z, c in cls.per_component.items()}
     assert flags == {"z0": (True, False), "z1": (True, False), "z2": (False, True)}
+
+
+def test_classification_disagreement_is_typed():
+    from ergodec import ConsistencyError, ErgodecError, ergodic_measures, validate_space
+
+    space = validate_space([(0, 1.0), (1, 1.0), (2, 1.0)])
+    jump = np.zeros((3, 3))
+    jump[0, 1] = jump[1, 0] = jump[1, 2] = jump[2, 1] = 1.0
+    form = DirichletForm.from_jump_kernel(space, jump, [1e-11, 0.0, 0.0])
+    for check in (classify, ergodic_measures):
+        with pytest.raises(ConsistencyError) as info:
+            check(form)
+        assert isinstance(info.value, ErgodecError)
+        assert info.value.defects["killing"] == pytest.approx(1e-11)
+        assert set(info.value.defects) == {"mass_defect", "energy_floor", "killing"}

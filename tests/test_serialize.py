@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from ergodec import (
+    DirichletForm,
+    NonFiniteError,
     classification_decomposition,
     decompose,
     decompose_operator,
@@ -125,3 +127,60 @@ def test_edge_list_matches_naive_loop(seed, tuple_labels):
     assert repr(edges) == repr(expected)
     assert json.dumps(edges) == json.dumps(expected)
     assert form_to_json(form)["edges"] == expected
+
+
+@pytest.mark.parametrize("text", [
+    '{"nu": {"z0": Infinity}, "fibers": {"z0": {"support": ["a"], "weights": [1.0]}}}',
+    '{"nu": {"z0": 1.0}, "fibers": {"z0": {"support": ["a", "b"], "weights": [0.5, Infinity]}}}',
+])
+def test_family_from_json_rejects_inf(text):
+    with pytest.raises(NonFiniteError):
+        family_from_json(json.loads(text))
+
+
+def test_block_operator_from_json_rejects_inf():
+    text = '{"nu": {"z0": 1.0, "z1": Infinity}, "blocks": {"z0": [[1.0]], "z1": [[1.0]]}}'
+    with pytest.raises(NonFiniteError, match="position 1"):
+        block_operator_from_json(json.loads(text))
+
+
+def sequential_jump(space, edges):
+    """Jump matrix written one edge at a time, both orientations."""
+    jump = np.zeros((space.n, space.n))
+    for x, y, w in edges:
+        i = space.index_of(tuple(x) if isinstance(x, list) else x)
+        j = space.index_of(tuple(y) if isinstance(y, list) else y)
+        jump[i, j] = jump[j, i] = float(w)
+    return jump
+
+
+def test_edge_list_repeats_last_wins():
+    space = {"points": ["a", "b", "c"], "mu": [1.0, 1.0, 1.0]}
+    edges = [["a", "b", 1.0], ["b", "c", 2.0], ["a", "b", 3.0], ["c", "b", 4.0], ["b", "b", 9.0]]
+    form = form_from_json({"space": space, "edges": edges})
+    assert form.jump.tolist() == [[0.0, 3.0, 0.0], [3.0, 0.0, 4.0], [0.0, 4.0, 0.0]]
+
+
+def test_edge_list_self_loop_is_ignored():
+    space = {"points": ["a", "b"], "mu": [1.0, 2.0]}
+    plain = form_from_json({"space": space, "edges": [["a", "b", 1.5]]})
+    looped = form_from_json({"space": space, "edges": [["a", "a", 7.0], ["a", "b", 1.5], ["b", "b", 2.0]]})
+    assert np.array_equal(looped.matrix, plain.matrix)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("tuple_labels", [False, True])
+def test_edge_list_parsing_matches_sequential_writes(seed, tuple_labels):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 12))
+    points = [[i % 3, i // 3] for i in range(n)] if tuple_labels else [f"p{i}" for i in range(n)]
+    # Many more edges than pairs: repeats, reversed repeats and self-loops.
+    edges = [
+        [points[int(i)], points[int(j)], float(rng.uniform(0.1, 2.0))]
+        for i, j in rng.integers(0, n, size=(3 * n, 2))
+    ]
+    obj = json.loads(json.dumps({"space": {"points": points, "mu": [1.0] * n}, "edges": edges}))
+    form = form_from_json(obj)
+    expected = DirichletForm.from_jump_kernel(form.space, sequential_jump(form.space, obj["edges"]))
+    assert np.array_equal(form.matrix, expected.matrix)
+    assert np.array_equal(form.jump, expected.jump)

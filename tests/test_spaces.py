@@ -169,3 +169,29 @@ def test_quotient_labels_deterministic(fx_twin):
     reverse = quotient_by_invariant_partition(fx_twin.space, [["d", "c"], ["b", "a"]])
     assert forward.blocks == reverse.blocks
     assert np.array_equal(forward.index.nu, reverse.index.nu)
+
+
+@pytest.mark.parametrize("make", [
+    lambda w: IndexSpace(("z0", "z1"), w),
+    lambda w: Fiber(("a", "b"), w),
+    lambda w: validate_space(zip(("a", "b"), w)),
+])
+def test_weights_reject_inf_and_report_first_bad_position(make):
+    with pytest.raises(NonFiniteError, match="position 1"):
+        make([1.0, np.inf])
+    with pytest.raises(NonFiniteError, match="position 0"):
+        make([np.inf, 0.0])
+    with pytest.raises(NonPositiveWeightError) as info:
+        make([0.0, np.inf])
+    assert info.value.index == 0
+    with pytest.raises(NonPositiveWeightError):
+        make([1.0, np.nan])
+
+
+def test_quotient_layout_matches_blocks(fx_grid):
+    qmap = quotient_by_invariant_partition(fx_grid.space, [[(0, 1), (2, 1), (1, 1)], [(1, 0), (0, 0), (2, 0)]])
+    assert len(qmap._layout) == 2
+    for z, idx in zip(qmap.index.labels, qmap._layout):
+        assert tuple(fx_grid.space.points[i] for i in idx) == qmap.blocks[z]
+        assert qmap.block_indices(z) is idx
+        assert not idx.flags.writeable
