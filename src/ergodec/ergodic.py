@@ -56,6 +56,15 @@ def _assemble_blocks(out: np.ndarray, layout, blocks) -> np.ndarray:
     return out
 
 
+def _worst(residuals) -> float:
+    """The largest residual, NaN if any residual is NaN.
+
+    Python's ``max`` keeps its current value when compared with NaN, so a
+    NaN residual would be dropped unless it came first.
+    """
+    return float(np.max(list(residuals), initial=0.0))
+
+
 @dataclass(frozen=True, eq=False)
 class ErgodicDecomposition:
     """A Dirichlet form split over its minimal invariant partition.
@@ -129,15 +138,13 @@ def decompose(form: DirichletForm) -> ErgodicDecomposition:
     qmap, family = disintegrate_over_partition(form.space.normalized(), partition)
 
     fibers = []
-    generator_defect = 0.0
+    generator_defects = []
     for z, idx in zip(qmap.index.labels, qmap._layout):
         raw_mass = float(form.space.mu[idx].sum())
         fiber_space = family.fibers[z].as_space()
         fiber = DirichletForm._trusted(fiber_space, form.matrix[np.ix_(idx, idx)] / raw_mass)
         block_generator = form.generator[np.ix_(idx, idx)]
-        generator_defect = max(
-            generator_defect, float(np.abs(fiber.generator - block_generator).max())
-        )
+        generator_defects.append(float(np.abs(fiber.generator - block_generator).max()))
         fibers.append(fiber)
 
     dec = ErgodicDecomposition(
@@ -152,7 +159,7 @@ def decompose(form: DirichletForm) -> ErgodicDecomposition:
     object.__setattr__(
         dec,
         "residuals",
-        {"form_reassembly": reassembly_defect, "fiber_generator": generator_defect},
+        {"form_reassembly": reassembly_defect, "fiber_generator": _worst(generator_defects)},
     )
     return dec
 
@@ -170,12 +177,12 @@ class DecompositionReport:
     passed: bool
 
     def worst(self) -> float:
-        return max(
+        return _worst((
             self.form_defect,
-            max(self.semigroup_defects.values()),
-            max(self.resolvent_defects.values()),
+            *self.semigroup_defects.values(),
+            *self.resolvent_defects.values(),
             self.isometry_defect,
-        )
+        ))
 
 
 def verify_decomposition(
@@ -218,18 +225,17 @@ def verify_decomposition(
     rng = np.random.default_rng(0) if rng is None else rng
     normalized = dec.quotient.space
     embed = assemble_l2(normalized, dec.family)
-    isometry_defect = 0.0
+    isometry_defects = []
     for _ in range(trials):
         f = rng.uniform(-1.0, 1.0, size=n)
-        isometry_defect = max(
-            isometry_defect, abs(embed.dspace.norm(embed(f)) - normalized.norm(f))
-        )
+        isometry_defects.append(abs(embed.dspace.norm(embed(f)) - normalized.norm(f)))
+    isometry_defect = _worst(isometry_defects)
 
     irreducible = tuple(len(invariant_sets(fiber)) == 1 for fiber in dec.fibers)
     passed = (
         form_defect <= tolerance
-        and max(semi_defects.values()) <= max(tolerance, 1e-8)
-        and max(res_defects.values()) <= tolerance
+        and _worst(semi_defects.values()) <= max(tolerance, 1e-8)
+        and _worst(res_defects.values()) <= tolerance
         and isometry_defect <= tolerance
         and all(irreducible)
     )

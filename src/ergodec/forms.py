@@ -81,7 +81,9 @@ def is_markovian(matrix, space: FiniteMeasureSpace, *, tol: float | None = None)
     in row-major order, and a row sum wins only with a strictly larger gain
     than the best coupling.  The verdict rests on the dense gain of that
     witness on the input matrix: if it is not positive, the matrix is
-    accepted.  The cost is O(n^2) plus one ``eigvalsh`` for the PSD check.
+    accepted.  The cost is O(n^2), plus one ``eigvalsh`` for the PSD check
+    when the Gershgorin bound cannot certify it.  A matrix built from a jump
+    kernel and a killing vector is diagonally dominant, so it needs none.
 
     Parameters
     ----------
@@ -116,16 +118,21 @@ def is_markovian(matrix, space: FiniteMeasureSpace, *, tol: float | None = None)
         x, y = np.argwhere(~finite)[0]
         raise NonFiniteError(f"matrix entry ({x}, {y}) is not finite")
     q = 0.5 * (q + q.T)
-    evals = np.linalg.eigvalsh(q)
-    norm = float(np.abs(evals).max()) if evals.size else 0.0
-    if evals[0] < -_PSD_RTOL * max(1.0, norm):
-        raise NotPSDError(float(evals[0]))
+    diag = np.diag(q)
+    # Gershgorin: every eigenvalue is at least min_x (2 q_xx - sum_y |q_xy|), and
+    # the spectral norm is at least max q_xx, so a floor above half the PSD
+    # threshold certifies the check below without an eigendecomposition.
+    floor = float((2.0 * diag - np.abs(q).sum(axis=1)).min())
+    if floor < -0.5 * _PSD_RTOL * max(1.0, float(diag.max())):
+        evals = np.linalg.eigvalsh(q)
+        norm = float(np.abs(evals).max())
+        if evals[0] < -_PSD_RTOL * max(1.0, norm):
+            raise NotPSDError(float(evals[0]))
 
     scale = _matrix_scale(q)
     tol = _MARKOV_RTOL * scale if tol is None else tol
 
     n = space.n
-    diag = np.diag(q)
     off_diagonal = ~np.eye(n, dtype=bool)
     row_sums = q.sum(axis=1)
     usable = diag > tol

@@ -27,6 +27,11 @@ def random_form(
     order.  Killing weights appear independently per point with probability
     ``killing_prob``.  The same seed always produces the same instance.
 
+    The extra edges of a block are drawn as arrays, in the order and from the
+    stream positions of a pair-by-pair loop, so every seed gives the same
+    form as earlier versions that ran that loop, and a ``Generator`` passed
+    as ``seed`` is left at the same stream position.
+
     Parameters
     ----------
     seed : int or numpy Generator
@@ -56,15 +61,12 @@ def random_form(
     jump = np.zeros((n, n))
     offset = 0
     for size in sizes:
+        block = jump[offset:offset + size, offset:offset + size]
         for i in range(1, size):
             j = int(rng.integers(0, i))
             w = rng.uniform(0.1, 2.0)
-            jump[offset + i, offset + j] = jump[offset + j, offset + i] = w
-        for i in range(size):
-            for j in range(i + 1, size):
-                if jump[offset + i, offset + j] == 0.0 and rng.uniform() < density:
-                    w = rng.uniform(0.1, 2.0)
-                    jump[offset + i, offset + j] = jump[offset + j, offset + i] = w
+            block[i, j] = block[j, i] = w
+        _add_extra_edges(rng, block, density)
         offset += size
 
     killing = np.where(rng.uniform(size=n) < killing_prob, rng.uniform(0.1, 2.0, size=n), 0.0)
@@ -78,3 +80,38 @@ def random_form(
 
     space = FiniteMeasureSpace(tuple(f"p{i}" for i in range(n)), mu)
     return DirichletForm.from_jump_kernel(space, jump, killing)
+
+
+def _add_extra_edges(rng, block, density: float) -> None:
+    """Join each pair of ``block`` without an edge with probability ``density``, in place.
+
+    Consumes exactly the stream of the scalar loop that visits those pairs in
+    row-major order, drawing a coin ``rng.uniform()`` for each and a weight
+    ``rng.uniform(0.1, 2.0)`` after each coin below ``density``.  A draw is a
+    weight exactly when the draw before it is a coin that hit, so inside a
+    run of draws below ``density`` the first is a coin and the roles
+    alternate.  The raw draws fix the roles; the state is then restored and
+    the consumed draws are taken again through ``uniform`` so that the
+    weights are numpy's own values and the stream ends where the loop ends.
+    """
+    rows, cols = np.triu_indices(len(block), 1)
+    free = block[rows, cols] == 0.0
+    rows, cols = rows[free], cols[free]
+    count = len(rows)
+    if count == 0:
+        return
+    state = rng.bit_generator.state
+    hit = rng.random(2 * count) < density  # each pair takes at most two draws
+    position = np.arange(2 * count)
+    run_start = np.maximum.accumulate(np.where(hit, 0, position + 1))
+    coin_hit = hit & ((position - run_start) % 2 == 0)
+    coin = np.ones(2 * count, dtype=bool)
+    coin[1:] = ~coin_hit[:-1]
+    coins = np.flatnonzero(coin)[:count]
+    accepted = coin_hit[coins]
+    consumed = int(coins[-1]) + 1 + int(accepted[-1])
+    rng.bit_generator.state = state
+    weights = rng.uniform(0.1, 2.0, size=consumed)[coins[accepted] + 1]
+    rows, cols = rows[accepted], cols[accepted]
+    block[rows, cols] = weights
+    block[cols, rows] = weights

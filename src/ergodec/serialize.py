@@ -21,6 +21,7 @@ import numpy as np
 
 from .direct_integral import DecomposableOperator
 from .ergodic import DecompositionReport, ErgodicDecomposition
+from .errors import ErgodecError
 from .forms import Classification, DirichletForm
 from .spaces import (
     Fiber,
@@ -112,10 +113,13 @@ def _jump_from_edges(space: FiniteMeasureSpace, edges) -> np.ndarray:
     n = space.n
     jump = np.zeros((n, n))
     index = space.index_of
-    parsed = np.fromiter(
-        ((index(_label(x)), index(_label(y)), float(w)) for x, y, w in edges),
-        dtype=_EDGE, count=len(edges),
-    )
+    try:
+        parsed = np.fromiter(
+            ((index(_label(x)), index(_label(y)), float(w)) for x, y, w in edges),
+            dtype=_EDGE, count=len(edges),
+        )
+    except KeyError as exc:
+        raise ErgodecError(f"edge names unknown point {exc.args[0]!r}") from None
     rows, cols, weights = parsed["x"], parsed["y"], parsed["w"]
     # The last edge of each unordered pair wins, in either orientation.
     pair = np.minimum(rows, cols) * n + np.maximum(rows, cols)

@@ -6,7 +6,8 @@ the resolvent oracle is a direct linear solve, invariant subsets are found
 by exhaustive search over all subsets evaluating the energy-splitting
 criterion directly, Markovianity is probed by randomized contractions and
 by a brute-force contraction-witness search, and block-diagonal matrices
-are summed one embedded block at a time.
+are summed one embedded block at a time, and random instances are drawn
+by the pair-by-pair loop the vectorised generator replays.
 """
 
 import itertools
@@ -14,7 +15,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ergodec import DirichletForm, validate_space
+from ergodec import DirichletForm, FiniteMeasureSpace, validate_space
 
 
 # ---------------------------------------------------------------- oracles
@@ -134,6 +135,39 @@ def naive_block_sum(n, index_groups, blocks):
         embedded[np.ix_(idx, idx)] = block
         out += embedded
     return out
+
+
+def reference_random_form(seed, n, components, killing_prob=0.0, density=0.5, *, probability=False):
+    """``random_form`` drawn with one scalar coin per candidate pair."""
+    rng = np.random.default_rng(seed) if isinstance(seed, (int, np.integer)) else seed
+    sizes = np.ones(components, dtype=int)
+    sizes += rng.multinomial(n - components, np.full(components, 1.0 / components))
+
+    jump = np.zeros((n, n))
+    offset = 0
+    for size in sizes:
+        for i in range(1, size):
+            j = int(rng.integers(0, i))
+            w = rng.uniform(0.1, 2.0)
+            jump[offset + i, offset + j] = jump[offset + j, offset + i] = w
+        for i in range(size):
+            for j in range(i + 1, size):
+                if jump[offset + i, offset + j] == 0.0 and rng.uniform() < density:
+                    w = rng.uniform(0.1, 2.0)
+                    jump[offset + i, offset + j] = jump[offset + j, offset + i] = w
+        offset += size
+
+    killing = np.where(rng.uniform(size=n) < killing_prob, rng.uniform(0.1, 2.0, size=n), 0.0)
+    mu = rng.uniform(0.1, 2.0, size=n)
+    if probability:
+        mu = mu / mu.sum()
+
+    perm = rng.permutation(n)
+    jump = jump[np.ix_(perm, perm)]
+    killing = killing[perm]
+
+    space = FiniteMeasureSpace(tuple(f"p{i}" for i in range(n)), mu)
+    return DirichletForm.from_jump_kernel(space, jump, killing)
 
 
 # ---------------------------------------------------------------- fixtures

@@ -235,6 +235,20 @@ def test_consistency_failure_exits_3(tmp_path, command, instance):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("command", ["classify", "decompose"])
+def test_edge_to_unknown_point_exits_2(tmp_path, command):
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({"space": {"points": ["a", "b"], "mu": [1.0, 1.0]},
+                                "edges": [["a", "c", 1.0]]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ergodec", command, "--input", str(path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: edge names unknown point 'c'\n"
+    assert proc.stdout == ""
+
+
 def test_measures_builds_time_one_semigroup_twice(tmp_path, monkeypatch, capsys):
     import ergodec.forms
 

@@ -152,6 +152,33 @@ def test_verify_detects_scaled_fiber(fx_twin):
     )
 
 
+def test_nan_fiber_generator_defect_is_kept():
+    # mu = 1e-300 under a jump of 1e300 overflows both generators to inf,
+    # so the generator defect of the first fiber is inf - inf = NaN.
+    space = validate_space([("a", 1e-300), ("b", 1.0)])
+    with np.errstate(all="ignore"):
+        form = DirichletForm.from_jump_kernel(space, np.array([[0.0, 1e300], [1e300, 0.0]]))
+        dec = decompose(form)
+    assert np.isnan(dec.residuals["fiber_generator"])
+
+
+def test_nan_semigroup_defect_at_one_time_fails(monkeypatch, fx_twin):
+    import ergodec.ergodic
+
+    original = ergodec.ergodic.semigroup
+
+    def poisoned(form, t):
+        out = original(form, t)
+        return np.full_like(out, np.nan) if form is fx_twin and t == 1.0 else out
+
+    monkeypatch.setattr(ergodec.ergodic, "semigroup", poisoned)
+    report = verify_decomposition(decompose(fx_twin))
+    assert np.isnan(report.semigroup_defects[1.0])
+    assert report.semigroup_defects[0.1] <= 1e-12
+    assert not report.passed
+    assert np.isnan(report.worst())
+
+
 # ------------------------------------------------------------ carre du champ
 
 

@@ -169,6 +169,97 @@ def test_markov_soundness_on_random_instances():
         assert contracted @ bad @ contracted > witness @ bad @ witness + 1e-12
 
 
+_eigvalsh = np.linalg.eigvalsh
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return _eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def psd_outcome(matrix, space):
+    try:
+        ok, _ = is_markovian(matrix, space)
+    except NotPSDError as exc:
+        return "not psd", exc.min_eigenvalue
+    return "markovian", ok
+
+
+def always_eigvalsh_outcome(matrix):
+    """The outcome of the check that decides PSD by ``eigvalsh`` on every input."""
+    q = 0.5 * (matrix + matrix.T)
+    evals = _eigvalsh(q)
+    if evals[0] < -1e-12 * max(1.0, float(np.abs(evals).max())):
+        return "not psd", float(evals[0])
+    witness, _ = brute_force_witness(q, 1e-14 * (1.0 + np.abs(q).max()))
+    return "markovian", witness is None
+
+
+def laplacian(weights):
+    jump = np.triu(weights, 1)
+    jump = jump + jump.T
+    return np.diag(jump.sum(axis=1)) - jump
+
+
+def test_psd_certificate_needs_no_eigvalsh_for_generated_forms(eigvalsh_calls):
+    from ergodec.serialize import form_from_json, form_to_json
+
+    for seed, killing_prob in [(1, 0.0), (2, 0.3)]:
+        form_from_json(form_to_json(random_form(seed, 60, 3, killing_prob=killing_prob)))
+    assert eigvalsh_calls == []
+
+
+def test_psd_certificate_falls_back_on_a_dense_psd_matrix(eigvalsh_calls):
+    b = np.random.default_rng(4).standard_normal((30, 15))
+    ok, _ = is_markovian(b @ b.T, validate_space([(i, 1.0) for i in range(30)]))
+    assert not ok
+    assert eigvalsh_calls == [(30, 30)]
+
+
+@pytest.mark.parametrize("k", [0.0, 0.25, 0.49, 0.51, 0.99, 1.01, 2.0])
+def test_psd_certificate_on_shifted_laplacian(eigvalsh_calls, k):
+    # Weights near 1e-9 keep max(1, .) at 1, and the contraction gain of the
+    # negative row sums far above the roundoff of the dense energies.
+    space = validate_space([(i, 1.0) for i in range(6)])
+    q = laplacian(np.random.default_rng(5).uniform(0.5, 1.5, (6, 6)) * 1e-9)
+    q -= k * 1e-12 * np.eye(6)
+    assert psd_outcome(q, space) == always_eigvalsh_outcome(q)
+    assert len(eigvalsh_calls) == (k > 0.5)
+
+
+@pytest.mark.parametrize("k", [0.0, 0.25, 0.49, 0.51, 0.99, 1.01, 2.0])
+def test_psd_certificate_on_shifted_laplacian_relative_threshold(eigvalsh_calls, k):
+    # At this scale the eigvalsh threshold is relative to the spectral norm,
+    # which lies above the largest diagonal entry the certificate uses.
+    space = validate_space([(i, 1.0) for i in range(6)])
+    q = laplacian(np.random.default_rng(6).uniform(0.5, 1.5, (6, 6)) * 1e3)
+    q -= k * 1e-12 * float(np.diag(q).max()) * np.eye(6)
+    outcome, expected = psd_outcome(q, space), always_eigvalsh_outcome(q)
+    # The verdict on these row sums is roundoff, so only the PSD part is compared.
+    assert outcome[0] == expected[0]
+    if expected[0] == "not psd":
+        assert outcome == expected
+    assert len(eigvalsh_calls) == (k > 0.5)
+
+
+@pytest.mark.parametrize("coupling", [0.25e-12, 0.49e-12, 0.51e-12, 2e-12, 1e-10, 1e-8])
+def test_psd_certificate_on_laplacian_with_positive_coupling(eigvalsh_calls, coupling):
+    space = validate_space([(i, 1.0) for i in range(6)])
+    weights = np.zeros((6, 6))
+    weights[np.arange(5), np.arange(1, 6)] = np.random.default_rng(7).uniform(0.5, 1.5, 5) * 1e-9
+    q = laplacian(weights)
+    q[0, 5] = q[5, 0] = coupling
+    assert psd_outcome(q, space) == always_eigvalsh_outcome(q)
+    assert len(eigvalsh_calls) == (coupling > 0.5e-12)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4))
 def test_contraction_never_raises_energy(values):
