@@ -18,7 +18,8 @@ def symmetrized_eig(matrix: np.ndarray, mu: np.ndarray):
     operator is positive semidefinite up to roundoff) in ascending order.
     """
     sqrt_mu = np.sqrt(mu)
-    sym = matrix / sqrt_mu[:, None] / sqrt_mu[None, :]
+    sym = matrix / sqrt_mu[:, None]
+    sym /= sqrt_mu[None, :]
     w, v = np.linalg.eigh(sym)
     return np.clip(w, 0.0, None), v, sqrt_mu
 

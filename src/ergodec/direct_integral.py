@@ -88,10 +88,6 @@ class DirectIntegralSpace:
     def stack(self, field) -> np.ndarray:
         return np.concatenate([np.asarray(u, dtype=float) for u in field])
 
-    def unstack(self, vector) -> tuple:
-        vector = np.asarray(vector, dtype=float)
-        return tuple(vector[self.slice_of(i)] for i in range(self.index.size))
-
     def inner(self, u, v) -> float:
         return float(
             sum(

@@ -56,6 +56,28 @@ def _assemble_blocks(out: np.ndarray, layout, blocks) -> np.ndarray:
     return out
 
 
+def _max_abs_difference(out: np.ndarray, other: np.ndarray) -> float:
+    """max |out - other|, computed in the buffer ``out``."""
+    out -= other
+    return float(np.abs(out, out=out).max())
+
+
+def _frobenius_difference(out: np.ndarray, other: np.ndarray) -> float:
+    """The Frobenius norm of ``out - other``, computed in the buffer ``out``."""
+    out -= other
+    return float(np.linalg.norm(out, "fro"))
+
+
+def _generator_defect(form: DirichletForm, idx: np.ndarray, fiber: DirichletForm) -> float:
+    """max |fiber.generator - form.generator[idx, idx]|, filling neither generator cache."""
+    block_generator = form.matrix[np.ix_(idx, idx)]
+    np.negative(block_generator, out=block_generator)
+    block_generator /= form.space.mu[idx][:, None]
+    defect = np.negative(fiber.matrix)
+    defect /= fiber.space.mu[:, None]
+    return _max_abs_difference(defect, block_generator)
+
+
 def _worst(residuals) -> float:
     """The largest residual, NaN if any residual is NaN.
 
@@ -96,11 +118,6 @@ class ErgodicDecomposition:
     def fiber_forms(self) -> dict:
         return dict(zip(self.labels, self.fibers))
 
-    def restrict(self, f) -> tuple:
-        """Restrict a global vector to every fiber, in index order."""
-        f = np.asarray(f, dtype=float)
-        return tuple(f[idx] for idx in self.quotient._layout)
-
     def reassembled_energy(self, f, g=None) -> float:
         f = np.asarray(f, dtype=float)
         g = f if g is None else np.asarray(g, dtype=float)
@@ -114,7 +131,8 @@ class ErgodicDecomposition:
         n = self.form.n
         weighted = (w * fiber.matrix for w, fiber in zip(self.quotient.index.nu, self.fibers))
         out = _assemble_blocks(np.zeros((n, n)), self.quotient._layout, weighted)
-        return self.normalization_scale * out
+        out *= self.normalization_scale
+        return out
 
 
 def decompose(form: DirichletForm) -> ErgodicDecomposition:
@@ -143,8 +161,7 @@ def decompose(form: DirichletForm) -> ErgodicDecomposition:
         raw_mass = float(form.space.mu[idx].sum())
         fiber_space = family.fibers[z].as_space()
         fiber = DirichletForm._trusted(fiber_space, form.matrix[np.ix_(idx, idx)] / raw_mass)
-        block_generator = form.generator[np.ix_(idx, idx)]
-        generator_defects.append(float(np.abs(fiber.generator - block_generator).max()))
+        generator_defects.append(_generator_defect(form, idx, fiber))
         fibers.append(fiber)
 
     dec = ErgodicDecomposition(
@@ -155,7 +172,7 @@ def decompose(form: DirichletForm) -> ErgodicDecomposition:
         normalization_scale=scale,
         residuals={},
     )
-    reassembly_defect = float(np.abs(dec.reassembled_matrix() - form.matrix).max())
+    reassembly_defect = _max_abs_difference(dec.reassembled_matrix(), form.matrix)
     object.__setattr__(
         dec,
         "residuals",
@@ -205,7 +222,7 @@ def verify_decomposition(
     form = dec.form
     n = form.n
     scale = 1.0 + float(np.abs(form.matrix).max())
-    form_defect = float(np.abs(dec.reassembled_matrix() - form.matrix).max()) / scale
+    form_defect = _max_abs_difference(dec.reassembled_matrix(), form.matrix) / scale
 
     # One buffer serves every parameter: each pass rewrites all the blocks
     # and the entries off the blocks stay zero.
@@ -215,12 +232,12 @@ def verify_decomposition(
     semi_defects = {}
     for t in times:
         _assemble_blocks(assembled, layout, (semigroup(fiber, t) for fiber in dec.fibers))
-        semi_defects[t] = float(np.linalg.norm(semigroup(form, t) - assembled, "fro"))
+        semi_defects[t] = _frobenius_difference(semigroup(form, t), assembled)
 
     res_defects = {}
     for a in alphas:
         _assemble_blocks(assembled, layout, (resolvent(fiber, a) for fiber in dec.fibers))
-        res_defects[a] = float(np.linalg.norm(resolvent(form, a) - assembled, "fro"))
+        res_defects[a] = _frobenius_difference(resolvent(form, a), assembled)
 
     rng = np.random.default_rng(0) if rng is None else rng
     normalized = dec.quotient.space
@@ -376,7 +393,7 @@ def decompose_weighted(form: DirichletForm, phi) -> WeightedDecomposition:
     )
     weighted = (w * fiber.matrix for w, fiber in zip(base.quotient.index.nu, lifted_forms))
     reassembled = _assemble_blocks(np.zeros((form.n, form.n)), base.quotient._layout, weighted)
-    reassembly_defect = float(np.abs(reassembled - form.matrix).max())
+    reassembly_defect = _max_abs_difference(reassembled, form.matrix)
     object.__setattr__(dec, "residuals", {"form_reassembly": reassembly_defect})
     return dec
 

@@ -169,6 +169,9 @@ class DirichletForm:
     Construct through :meth:`from_matrix` or :meth:`from_jump_kernel`; the
     constructor enforces symmetry, positive semidefiniteness, Markovianity,
     and that the matrix is rebuilt by its jump/killing data.
+    :meth:`from_jump_kernel` skips these checks when a one-pass certificate
+    on its input proves them (see there); every other input goes through
+    the constructor.
     """
 
     space: FiniteMeasureSpace
@@ -198,6 +201,18 @@ class DirichletForm:
         return cls(space, 0.5 * (matrix + matrix.T))
 
     @classmethod
+    def _unchecked(cls, space: FiniteMeasureSpace, matrix, jump, killing) -> "DirichletForm":
+        """Wrap arrays into a form without validation; the arrays become read-only."""
+        for array in (matrix, jump, killing):
+            array.flags.writeable = False
+        form = object.__new__(cls)
+        object.__setattr__(form, "space", space)
+        object.__setattr__(form, "matrix", matrix)
+        object.__setattr__(form, "_jump", jump)
+        object.__setattr__(form, "_killing", killing)
+        return form
+
+    @classmethod
     def _trusted(cls, space: FiniteMeasureSpace, matrix) -> "DirichletForm":
         """Build a form without validation, for matrices Markovian by construction.
 
@@ -211,25 +226,45 @@ class DirichletForm:
         matrix = np.asarray(matrix, dtype=float)
         matrix = matrix + matrix.T
         matrix *= 0.5
-        jump, killing = _jump_killing(matrix)
-        for array in (matrix, jump, killing):
-            array.flags.writeable = False
-        form = object.__new__(cls)
-        object.__setattr__(form, "space", space)
-        object.__setattr__(form, "matrix", matrix)
-        object.__setattr__(form, "_jump", jump)
-        object.__setattr__(form, "_killing", killing)
-        return form
+        return cls._unchecked(space, matrix, *_jump_killing(matrix))
 
     @classmethod
     def from_jump_kernel(cls, space: FiniteMeasureSpace, jump, killing=None) -> "DirichletForm":
-        """Build the form of a symmetric jump kernel and optional killing vector."""
+        """Build the form of a symmetric jump kernel and optional killing vector.
+
+        The kernel is symmetrized and its diagonal dropped.  When the input
+        holds a certificate, one O(n^2) pass, the form is built without the
+        constructor's checks: the shapes are (n, n) and (n,), every kernel
+        and killing entry is >= 0, and every diagonal entry
+        ``jump.sum(1) + killing`` is finite.  NaN fails ``>= 0`` and an
+        infinite entry makes its row sum infinite, so certified input is
+        finite, and its matrix is bitwise symmetric, Markovian and
+        diagonally dominant, hence PSD.  The result equals the validated
+        form exactly: the same matrix operations, with jump and killing read
+        back from the matrix as :func:`is_markovian` does.  Input without
+        the certificate (a negative, NaN or infinite entry, a row sum that
+        overflows, a shape that does not match) goes through the
+        constructor, with its errors and witnesses.
+        """
         jump = np.asarray(jump, dtype=float)
-        jump = 0.5 * (jump + jump.T)
+        jump = jump + jump.T
+        jump *= 0.5
         np.fill_diagonal(jump, 0.0)  # a kernel carries no diagonal
         killing = np.zeros(space.n) if killing is None else np.asarray(killing, dtype=float)
-        matrix = np.diag(jump.sum(axis=1) + killing) - jump
-        return cls(space, matrix)
+        diag = jump.sum(axis=1) + killing
+        certified = (
+            jump.shape == (space.n, space.n)
+            and killing.shape == (space.n,)
+            and (jump >= 0).all()
+            and (killing >= 0).all()
+            and np.isfinite(diag).all()
+        )
+        if not certified:
+            return cls(space, np.diag(diag) - jump)
+        matrix = np.diag(diag)
+        matrix -= jump
+        del jump  # read back from the matrix below; free it first
+        return cls._unchecked(space, matrix, *_jump_killing(matrix))
 
     @property
     def n(self) -> int:

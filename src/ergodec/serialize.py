@@ -12,10 +12,14 @@ Field names are part of the interface and fixed:
                    "residuals": {...}}``
 
 Dictionaries are emitted in deterministic order (index label order), so a
-fixed input always serializes to identical bytes.
+fixed input always serializes to identical bytes.  A form document that does
+not follow its format raises an :class:`~ergodec.errors.ErgodecError` that
+names the offending field.
 """
 
 from __future__ import annotations
+
+import reprlib
 
 import numpy as np
 
@@ -36,12 +40,37 @@ def space_to_json(space: FiniteMeasureSpace) -> dict:
     return {"points": list(space.points), "mu": [float(w) for w in space.mu]}
 
 
+def _field(obj, key: str, owner: str):
+    """``obj[key]``, or a typed error when ``obj`` is no JSON object or lacks the key."""
+    if not isinstance(obj, dict):
+        raise ErgodecError(f"{owner} must be a JSON object")
+    if key not in obj:
+        raise ErgodecError(f"{owner} has no {key!r} field")
+    return obj[key]
+
+
+def _float_array(values, field: str, shape: tuple) -> np.ndarray:
+    """``values`` as a float array of the given shape, or a typed error naming the field."""
+    try:
+        array = np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        array = None
+    if array is None or array.shape != shape:
+        kind = f"a list of {shape[0]}" if len(shape) == 1 else f"a {shape[0]} x {shape[1]} array of"
+        raise ErgodecError(f"{field!r} must be {kind} numbers")
+    return array
+
+
 def space_from_json(obj: dict) -> FiniteMeasureSpace:
-    points = obj["points"]
-    mu = obj["mu"]
-    if len(points) != len(mu):
-        raise ValueError("'points' and 'mu' must have equal length")
-    return validate_space(zip(_labels(points), mu))
+    points = _field(obj, "points", "'space'")
+    mu = _field(obj, "mu", "'space'")
+    try:
+        equal = len(points) == len(mu)
+    except TypeError:
+        raise ErgodecError("'points' and 'mu' must be lists") from None
+    if not equal:
+        raise ErgodecError("'points' and 'mu' must have equal length")
+    return validate_space(zip(_labels(points), _float_array(mu, "mu", (len(mu),))))
 
 
 def _label(point):
@@ -95,13 +124,14 @@ def form_to_json(form: DirichletForm) -> dict:
 
 def form_from_json(obj: dict) -> DirichletForm:
     """Read a form given either by an edge list or by a dense energy matrix."""
-    space = space_from_json(obj["space"])
+    space = space_from_json(_field(obj, "space", "the form document"))
+    n = space.n
     if "matrix" in obj:
-        return DirichletForm.from_matrix(space, np.array(obj["matrix"], dtype=float))
+        return DirichletForm.from_matrix(space, _float_array(obj["matrix"], "matrix", (n, n)))
     jump = _jump_from_edges(space, obj.get("edges", []))
     killing = obj.get("killing")
     if killing is not None:
-        killing = np.array(killing, dtype=float)
+        killing = _float_array(killing, "killing", (n,))
     return DirichletForm.from_jump_kernel(space, jump, killing)
 
 
@@ -118,8 +148,9 @@ def _jump_from_edges(space: FiniteMeasureSpace, edges) -> np.ndarray:
             ((index(_label(x)), index(_label(y)), float(w)) for x, y, w in edges),
             dtype=_EDGE, count=len(edges),
         )
-    except KeyError as exc:
-        raise ErgodecError(f"edge names unknown point {exc.args[0]!r}") from None
+    except (KeyError, TypeError, ValueError, OverflowError):
+        _check_edges(space, edges)
+        raise
     rows, cols, weights = parsed["x"], parsed["y"], parsed["w"]
     # The last edge of each unordered pair wins, in either orientation.
     pair = np.minimum(rows, cols) * n + np.maximum(rows, cols)
@@ -128,6 +159,28 @@ def _jump_from_edges(space: FiniteMeasureSpace, edges) -> np.ndarray:
     rows, cols, weights = rows[last], cols[last], weights[last]
     jump[np.concatenate([rows, cols]), np.concatenate([cols, rows])] = np.concatenate([weights, weights])
     return jump
+
+
+def _check_edges(space: FiniteMeasureSpace, edges) -> None:
+    """Raise a typed error for the first edge that cannot be read, in the order it is read."""
+    if not isinstance(edges, list):
+        raise ErgodecError("'edges' must be a list of [x, y, w] triples")
+    for i, edge in enumerate(edges):
+        try:
+            x, y, w = edge
+        except (TypeError, ValueError):
+            raise ErgodecError(f"edge {i} is not an [x, y, w] triple: {reprlib.repr(edge)}") from None
+        for point in (x, y):
+            try:
+                space.index_of(_label(point))
+            except KeyError as exc:
+                raise ErgodecError(f"edge names unknown point {exc.args[0]!r}") from None
+            except TypeError:
+                raise ErgodecError(f"edge {i} names an unhashable point: {reprlib.repr(point)}") from None
+        try:
+            float(w)
+        except (TypeError, ValueError, OverflowError):
+            raise ErgodecError(f"edge {i} weight is not a number: {reprlib.repr(w)}") from None
 
 
 def block_operator_to_json(op: DecomposableOperator) -> dict:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     EmptySpaceError,
+    ErgodecError,
     NonFiniteError,
     NonPositiveWeightError,
     NotAPartitionError,
@@ -28,6 +29,20 @@ def _readonly(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
     return arr
+
+
+def _check_labels(labels: tuple, field: str) -> None:
+    """Raise a typed error unless the labels are hashable and distinct."""
+    try:
+        if len(set(labels)) == len(labels):
+            return
+    except TypeError:
+        raise ErgodecError(f"{field!r} labels must be hashable") from None
+    seen = set()
+    for label in labels:
+        if label in seen:
+            raise ErgodecError(f"{field!r} labels must be distinct; {label!r} repeats")
+        seen.add(label)
 
 
 def _check_weights(weights: np.ndarray) -> None:
@@ -64,8 +79,7 @@ class FiniteMeasureSpace:
         if self.mu.ndim != 1 or len(self.mu) != len(self.points):
             raise ValueError("weight vector must align with the point list")
         _check_weights(self.mu)
-        if len(set(self.points)) != len(self.points):
-            raise ValueError("point labels must be distinct")
+        _check_labels(self.points, "points")
 
     @property
     def n(self) -> int:
@@ -138,8 +152,7 @@ class IndexSpace:
         if self.nu.ndim != 1 or len(self.nu) != len(self.labels):
             raise ValueError("index weights must align with the labels")
         _check_weights(self.nu)
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("index labels must be distinct")
+        _check_labels(self.labels, "labels")
 
     @property
     def size(self) -> int:
@@ -171,8 +184,7 @@ class Fiber:
         if len(self.weights) != len(self.support):
             raise ValueError("fiber weights must align with the support")
         _check_weights(self.weights)
-        if len(set(self.support)) != len(self.support):
-            raise ValueError("fiber support labels must be distinct")
+        _check_labels(self.support, "support")
 
     @property
     def mass(self) -> float:

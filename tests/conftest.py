@@ -7,7 +7,9 @@ by exhaustive search over all subsets evaluating the energy-splitting
 criterion directly, Markovianity is probed by randomized contractions and
 by a brute-force contraction-witness search, and block-diagonal matrices
 are summed one embedded block at a time, and random instances are drawn
-by the pair-by-pair loop the vectorised generator replays.
+by the pair-by-pair loop the vectorised generator replays.  Forms of jump
+kernels are also built through the validating constructor, and the
+residuals of a decomposition are recomputed with out-of-place arithmetic.
 """
 
 import itertools
@@ -135,6 +137,49 @@ def naive_block_sum(n, index_groups, blocks):
         embedded[np.ix_(idx, idx)] = block
         out += embedded
     return out
+
+
+def validated_jump_kernel_form(space, jump, killing=None):
+    """``DirichletForm.from_jump_kernel`` through the validating constructor."""
+    jump = np.asarray(jump, dtype=float)
+    jump = 0.5 * (jump + jump.T)
+    np.fill_diagonal(jump, 0.0)
+    killing = np.zeros(space.n) if killing is None else np.asarray(killing, dtype=float)
+    return DirichletForm(space, np.diag(jump.sum(axis=1) + killing) - jump)
+
+
+def reference_decompose_residuals(dec):
+    """The residuals of ``decompose``, each n x n difference a new array."""
+    form, layout = dec.form, dec.quotient._layout
+    generator = -form.matrix / form.space.mu[:, None]
+    generator_defects = [
+        float(np.abs(-fiber.matrix / fiber.space.mu[:, None] - generator[np.ix_(idx, idx)]).max())
+        for idx, fiber in zip(layout, dec.fibers)
+    ]
+    weighted = [w * f.matrix for w, f in zip(dec.quotient.index.nu, dec.fibers)]
+    reassembled = dec.normalization_scale * naive_block_sum(form.n, layout, weighted)
+    return {
+        "form_reassembly": float(np.abs(reassembled - form.matrix).max()),
+        "fiber_generator": float(np.max(generator_defects, initial=0.0)),
+    }
+
+
+def reference_verify_residuals(dec, times, alphas):
+    """(form, semigroup, resolvent) defects of ``verify_decomposition``, out of place."""
+    from ergodec.forms import resolvent, semigroup
+
+    form, layout, n = dec.form, dec.quotient._layout, dec.form.n
+    weighted = [w * f.matrix for w, f in zip(dec.quotient.index.nu, dec.fibers)]
+    reassembled = dec.normalization_scale * naive_block_sum(n, layout, weighted)
+    scale = 1.0 + float(np.abs(form.matrix).max())
+    form_defect = float(np.abs(reassembled - form.matrix).max()) / scale
+
+    def defect(op, form_op):
+        return float(np.linalg.norm(form_op - naive_block_sum(n, layout, op), "fro"))
+
+    semi = {t: defect([semigroup(f, t) for f in dec.fibers], semigroup(form, t)) for t in times}
+    res = {a: defect([resolvent(f, a) for f in dec.fibers], resolvent(form, a)) for a in alphas}
+    return form_defect, semi, res
 
 
 def reference_random_form(seed, n, components, killing_prob=0.0, density=0.5, *, probability=False):

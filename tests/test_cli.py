@@ -267,3 +267,110 @@ def test_measures_builds_time_one_semigroup_twice(tmp_path, monkeypatch, capsys)
     assert main(["measures", "--input", write_form(tmp_path, form)]) == 0
     assert calls == [1.0, 1.0]
     assert json.loads(capsys.readouterr().out)["mu_mixture"] is not None
+
+
+# One input per class of malformed document.  Each exits 2 with a single
+# error line naming the field, on every command that loads a form.
+_SPACE = {"points": ["a", "b", "c"], "mu": [1.0, 1.0, 1.0]}
+_EDGES = [["a", "b", 1.0], ["b", "c", 2.0]]
+MALFORMED_INPUTS = {
+    "killing-length": (
+        {"space": _SPACE, "edges": _EDGES, "killing": [1.0, 0.0]},
+        "'killing' must be a list of 3 numbers",
+    ),
+    "edge-not-triple": (
+        {"space": _SPACE, "edges": [["a", "b", 1.0], ["a", "c"]]},
+        "edge 1 is not an [x, y, w] triple: ['a', 'c']",
+    ),
+    "weight-not-number": (
+        {"space": _SPACE, "edges": [["a", "b", "heavy"]]},
+        "edge 0 weight is not a number: 'heavy'",
+    ),
+    "missing-space": ({"edges": _EDGES}, "the form document has no 'space' field"),
+    "points-mu-length": (
+        {"space": {"points": ["a", "b"], "mu": [1.0]}},
+        "'points' and 'mu' must have equal length",
+    ),
+    "duplicate-labels": (
+        {"space": {"points": ["a", "b", "a"], "mu": [1.0, 1.0, 1.0]}},
+        "'points' labels must be distinct; 'a' repeats",
+    ),
+    "ragged-matrix": (
+        {"space": {"points": ["a", "b"], "mu": [1.0, 1.0]}, "matrix": [[1.0, -1.0], [-1.0]]},
+        "'matrix' must be a 2 x 2 array of numbers",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_2(tmp_path, name):
+    instance, message = MALFORMED_INPUTS[name]
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(instance))
+    for command in ("decompose", "classify", "measures"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ergodec", command, "--input", str(path)],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n"), command
+
+
+# Further members of each class, checked in-process.
+MALFORMED_VARIANTS = [
+    ({"space": _SPACE, "edges": _EDGES, "killing": [[1.0, 0.0, 0.0]]},
+     "'killing' must be a list of 3 numbers"),
+    ({"space": _SPACE, "edges": _EDGES, "killing": 1.0}, "'killing' must be a list of 3 numbers"),
+    ({"space": _SPACE, "edges": _EDGES, "killing": ["x", 0, 0]},
+     "'killing' must be a list of 3 numbers"),
+    ({"space": _SPACE, "edges": [5]}, "edge 0 is not an [x, y, w] triple: 5"),
+    ({"space": _SPACE, "edges": [["a", "b", 1.0, 2.0]]},
+     "edge 0 is not an [x, y, w] triple: ['a', 'b', 1.0, 2.0]"),
+    ({"space": _SPACE, "edges": None}, "'edges' must be a list of [x, y, w] triples"),
+    ({"space": _SPACE, "edges": [["a", "b", None]]}, "edge 0 weight is not a number: None"),
+    ({"space": _SPACE, "edges": [["a", "b", 10**400]]},
+     "edge 0 weight is not a number: 100000000000000000...0000000000000000000"),
+    ({"space": _SPACE, "edges": [[{"k": 1}, "b", 1.0]]},
+     "edge 0 names an unhashable point: {'k': 1}"),
+    ({"space": {"points": ["a", "b"], "mu": ["x", 1.0]}}, "'mu' must be a list of 2 numbers"),
+    ({"space": {"points": ["a", "b"], "mu": [[1.0], [1.0]]}}, "'mu' must be a list of 2 numbers"),
+    ([1, 2, 3], "the form document must be a JSON object"),
+    ({"space": [1, 2]}, "'space' must be a JSON object"),
+    ({"space": {"points": ["a"]}}, "'space' has no 'mu' field"),
+    ({"space": {"points": 3, "mu": [1.0]}}, "'points' and 'mu' must be lists"),
+    ({"space": {"points": [{"k": 1}, "b"], "mu": [1.0, 1.0]}}, "'points' labels must be hashable"),
+    ({"space": {"points": ["a", "b"], "mu": [1.0, 1.0]}, "matrix": [[1.0, 0.0, 0.0]] * 3},
+     "'matrix' must be a 2 x 2 array of numbers"),
+    ({"space": {"points": ["a", "b"], "mu": [1.0, 1.0]}, "matrix": [[1.0, "x"], [0.0, 1.0]]},
+     "'matrix' must be a 2 x 2 array of numbers"),
+]
+
+
+@pytest.mark.parametrize("instance, message", MALFORMED_VARIANTS)
+def test_malformed_variant_exits_2(tmp_path, capsys, instance, message):
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(instance))
+    assert main(["classify", "--input", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# Inputs that already exited 2 before the format checks keep their message:
+# they fail the jump-kernel certificate and reach the validating constructor.
+@pytest.mark.parametrize(
+    "instance, message",
+    [
+        ({"space": _SPACE, "edges": [["a", "b", -1.0]]},
+         "matrix is not positive semidefinite (min eigenvalue -2.000e+00)"),
+        ({"space": _SPACE, "edges": [["a", "b", float("nan")]]}, "matrix entry (0, 0) is not finite"),
+        ({"space": _SPACE, "edges": _EDGES, "killing": [-1.0, 0.0, 0.0]},
+         "matrix is not positive semidefinite (min eigenvalue -5.182e-01)"),
+        ({"space": _SPACE, "edges": _EDGES, "killing": [None, 0.0, 0.0]},
+         "matrix entry (0, 0) is not finite"),
+        ({"space": {"points": ["a", "a"], "mu": [1.0, -1.0]}}, "non-positive weight at position 1"),
+        ({"space": {"points": [], "mu": []}}, "empty weight list"),
+    ],
+)
+def test_invalid_input_keeps_its_message(tmp_path, capsys, instance, message):
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(instance))
+    assert main(["decompose", "--input", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -433,6 +433,46 @@ def test_block_assembly_matches_naive_sum(form):
         assert report.resolvent_defects[a] == float(np.linalg.norm(resolvent(form, a) - naive, "fro"))
 
 
+def residual_forms():
+    """The multi-block forms, a single-block form and the tiny-mu/huge-jump NaN case."""
+    space = validate_space([("a", 1e-300), ("b", 1.0)])
+    with np.errstate(all="ignore"):
+        overflow = DirichletForm.from_jump_kernel(space, np.array([[0.0, 1e300], [1e300, 0.0]]))
+    return [*multi_block_forms(), random_form(7, 30, 1, killing_prob=0.2), overflow]
+
+
+def same_bits(a: float, b: float) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@pytest.mark.parametrize("form", residual_forms())
+def test_decompose_residuals_equal_out_of_place_reference(form):
+    from conftest import reference_decompose_residuals
+
+    with np.errstate(all="ignore"):
+        dec = decompose(form)
+        expected = reference_decompose_residuals(dec)
+    assert dec.residuals.keys() == expected.keys()
+    for name, value in expected.items():
+        assert same_bits(dec.residuals[name], value), name
+    assert "generator" not in vars(form)  # the global generator cache stays empty
+
+
+@pytest.mark.parametrize("form", residual_forms()[:-1])
+def test_verify_residuals_equal_out_of_place_reference(form):
+    from conftest import reference_verify_residuals
+
+    times, alphas = (0.1, 1.0, 10.0), (0.5, 1.0, 10.0)
+    dec = decompose(form)
+    report = verify_decomposition(dec, times=times, alphas=alphas)
+    form_defect, semi, res = reference_verify_residuals(dec, times, alphas)
+    assert same_bits(report.form_defect, form_defect)
+    for t in times:
+        assert same_bits(report.semigroup_defects[t], semi[t]), t
+    for a in alphas:
+        assert same_bits(report.resolvent_defects[a], res[a]), a
+
+
 def test_weighted_reassembly_matches_naive_sum():
     from conftest import naive_block_sum
 

@@ -35,6 +35,7 @@ from conftest import (
     random_contraction_search,
     series_expm,
     solve_resolvent,
+    validated_jump_kernel_form,
 )
 
 
@@ -271,6 +272,132 @@ def test_contraction_never_raises_energy(values):
     f = np.array(values)
     for g in (np.clip(f, 0.0, 1.0), np.maximum(f, 0.0)):
         assert form.energy(g) <= form.energy(f) + 1e-12
+
+
+# ------------------------------------------------------ jump-kernel certificate
+
+
+def bits(array) -> bytes:
+    return np.ascontiguousarray(array).tobytes()
+
+
+def assert_same_form(form, expected):
+    for name in ("matrix", "jump", "killing"):
+        got, want = getattr(form, name), getattr(expected, name)
+        assert got.shape == want.shape and bits(got) == bits(want), name
+        assert not got.flags.writeable, name
+
+
+def build_both(space, jump, killing):
+    """from_jump_kernel and the validated construction: both forms, or both errors."""
+    outcomes = []
+    for build in (DirichletForm.from_jump_kernel, validated_jump_kernel_form):
+        try:
+            with np.errstate(all="ignore"):
+                outcomes.append(build(space, jump, killing))
+        except ValueError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+weights = st.one_of(
+    st.just(0.0), st.just(-0.0), st.floats(0.0, 1e6), st.floats(1e-300, 1e-6), st.floats(-1.0, 0.0)
+)
+
+
+@st.composite
+def jump_kernel_inputs(draw):
+    n = draw(st.integers(1, 5))
+    jump = np.array(draw(st.lists(weights, min_size=n * n, max_size=n * n))).reshape(n, n)
+    killing = draw(st.none() | st.lists(weights, min_size=n, max_size=n))
+    return validate_space([(f"p{i}", 1.0) for i in range(n)]), jump, killing
+
+
+@settings(max_examples=300, deadline=None)
+@given(jump_kernel_inputs())
+def test_jump_kernel_form_equals_validated_form(inputs):
+    # Zero and -0.0 weights, killing=None and n in {1, 2} are all drawn; an
+    # input that fails the certificate gives the validated error instead.
+    form, expected = build_both(*inputs)
+    if isinstance(expected, Exception):
+        assert type(form) is type(expected) and str(form) == str(expected)
+    else:
+        assert_same_form(form, expected)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_jump_kernel_form_equals_validated_form_small(n):
+    space = validate_space([(i, 0.5 + i) for i in range(n)])
+    jump = np.full((n, n), -0.0)
+    for killing in (None, np.zeros(n), np.full(n, 0.25)):
+        form, expected = build_both(space, jump, killing)
+        assert_same_form(form, expected)
+
+
+def overflowing_rows():
+    jump = np.zeros((4, 4))
+    jump[0, 1:] = jump[1:, 0] = 8e307  # finite entries, row sum 2.4e308
+    return jump
+
+
+FALLBACK_INPUTS = {
+    "negative-edge": ([[0.0, -1.0], [-1.0, 0.0]], None),
+    "nan-edge": ([[0.0, np.nan], [np.nan, 0.0]], None),
+    "inf-edge": ([[0.0, np.inf], [np.inf, 0.0]], None),
+    "overflowing-edges": ([[0.0, 1.7e308, 1.7e308], [1.7e308, 0.0, 0.0], [1.7e308, 0.0, 0.0]], None),
+    "overflowing-row-sum": (overflowing_rows(), None),
+    "negative-killing": ([[0.0, 1.0], [1.0, 0.0]], [-1.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACK_INPUTS))
+def test_uncertified_jump_kernel_gives_validated_error(name):
+    jump, killing = FALLBACK_INPUTS[name]
+    jump = np.array(jump, dtype=float)
+    space = validate_space([(i, 1.0) for i in range(len(jump))])
+    error, expected = build_both(space, jump, killing)
+    assert isinstance(expected, Exception)
+    assert type(error) is type(expected) and str(error) == str(expected)
+    if isinstance(expected, NotMarkovianError):
+        assert np.array_equal(error.witness, expected.witness)
+
+
+def test_certified_construction_skips_is_markovian(monkeypatch):
+    import ergodec.forms
+    from ergodec.serialize import form_from_json, form_to_json
+
+    calls = []
+    original = ergodec.forms.is_markovian
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ergodec.forms, "is_markovian", spy)
+    form = random_form(4, 40, 3, killing_prob=0.3)
+    form_from_json(form_to_json(form))
+    girsanov_transform(random_form(5, 20, 2), np.linspace(0.5, 1.5, 20))
+    assert calls == []
+    with pytest.raises(NotPSDError):
+        DirichletForm.from_jump_kernel(form.space, -form.jump)
+    assert len(calls) == 1
+
+
+def test_symmetrized_matrix_equals_out_of_place_quotient(monkeypatch):
+    from ergodec._linalg import symmetrized_eig
+
+    form = random_form(3, 30, 2, killing_prob=0.3)
+    seen = []
+    original = np.linalg.eigh
+
+    def capture(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", capture)
+    symmetrized_eig(form.matrix, form.space.mu)
+    sqrt_mu = np.sqrt(form.space.mu)
+    assert bits(seen[0]) == bits(form.matrix / sqrt_mu[:, None] / sqrt_mu[None, :])
 
 
 # ------------------------------------------------------------ beurling-deny
