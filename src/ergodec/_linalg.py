@@ -1,14 +1,27 @@
 """Shared dense linear algebra helpers.
 
-Everything here works on the symmetrization D^{1/2} (-L) D^{-1/2} of a
-generator, where D = diag(mu): that matrix equals D^{-1/2} A D^{-1/2} for an
-energy matrix A, is symmetric, and a single eigendecomposition serves the
-semigroup, the resolvent and the Yosida approximations at every parameter.
+One writer assembles every block-diagonal matrix through a layout.  The rest
+work on the symmetrization D^{1/2} (-L) D^{-1/2} of a generator, where
+D = diag(mu): that matrix equals D^{-1/2} A D^{-1/2} for an energy matrix A,
+is symmetric, and a single eigendecomposition serves the semigroup, the
+resolvent and the Yosida approximations at every parameter.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def _assemble_blocks(out: np.ndarray, layout, blocks) -> np.ndarray:
+    """Write each block at its layout positions of ``out``, in place.
+
+    The blocks of a layout are disjoint, so on a zero buffer this is the
+    exact block-diagonal sum, and a buffer can be reused for another set of
+    blocks over the same layout.
+    """
+    for idx, block in zip(layout, blocks):
+        out[np.ix_(idx, idx)] = block
+    return out
 
 
 def symmetrized_eig(matrix: np.ndarray, mu: np.ndarray):

@@ -20,6 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from ._linalg import (
+    _assemble_blocks,
     chebyshev_coefficients,
     chebyshev_matrix,
     polynomial_matrix,
@@ -34,13 +35,13 @@ from .errors import (
     NotDecomposableError,
     NotSeparatedError,
 )
-from .forms import DirichletForm, is_markovian
+from .forms import DirichletForm, _matrix_scale, is_markovian
 from .spaces import (
     FiniteMeasureSpace,
     IndexSpace,
     MeasureFamily,
     QuotientMap,
-    disintegrate_over_partition,
+    _readonly,
     is_separated,
 )
 
@@ -64,12 +65,10 @@ class DirectIntegralSpace:
         return tuple(f.n for f in self.fibers)
 
     @cached_property
-    def offsets(self) -> tuple:
-        out, acc = [], 0
-        for d in self.dims:
-            out.append(acc)
-            acc += d
-        return tuple(out)
+    def _layout(self) -> tuple:
+        """Stacked positions of every fiber in index label order: contiguous, disjoint ranges."""
+        starts = np.cumsum((0,) + self.dims[:-1])
+        return tuple(_readonly(np.arange(s, s + d), dtype=int) for s, d in zip(starts, self.dims))
 
     @property
     def dim(self) -> int:
@@ -81,9 +80,6 @@ class DirectIntegralSpace:
         return np.concatenate(
             [nu * f.mu for nu, f in zip(self.index.nu, self.fibers)]
         )
-
-    def slice_of(self, position: int) -> slice:
-        return slice(self.offsets[position], self.offsets[position] + self.dims[position])
 
     def stack(self, field) -> np.ndarray:
         return np.concatenate([np.asarray(u, dtype=float) for u in field])
@@ -220,11 +216,8 @@ class DecomposableOperator:
 
     @cached_property
     def assembled(self) -> np.ndarray:
-        out = np.zeros((self.dspace.dim, self.dspace.dim))
-        for i, b in enumerate(self.blocks):
-            s = self.dspace.slice_of(i)
-            out[s, s] = b
-        return out
+        n = self.dspace.dim
+        return _assemble_blocks(np.zeros((n, n)), self.dspace._layout, self.blocks)
 
     @cached_property
     def operator_norm(self) -> float:
@@ -242,11 +235,6 @@ def assemble_operator(dspace: DirectIntegralSpace, blocks) -> DecomposableOperat
     return DecomposableOperator(dspace, tuple(blocks))
 
 
-def _quotient_dspace(qmap: QuotientMap) -> DirectIntegralSpace:
-    _, family = disintegrate_over_partition(qmap.space, list(qmap.blocks.values()))
-    return DirectIntegralSpace(family.index, family.fiber_spaces())
-
-
 def decompose_operator(matrix, structure) -> DecomposableOperator:
     """Split an operator into fiber blocks, or fail with its off-block mass.
 
@@ -257,6 +245,8 @@ def decompose_operator(matrix, structure) -> DecomposableOperator:
         coordinates; for a ``DirectIntegralSpace``, an operator in stacked
         coordinates.
     structure : QuotientMap or DirectIntegralSpace
+        For a ``QuotientMap``, the blocks and fibers (its ``family``) follow
+        the quotient's index label order, and the operator keeps its labels.
 
     Raises
     ------
@@ -266,27 +256,18 @@ def decompose_operator(matrix, structure) -> DecomposableOperator:
     """
     matrix = np.asarray(matrix, dtype=float)
     if isinstance(structure, QuotientMap):
-        dspace = _quotient_dspace(structure)
-        index_groups = [structure.block_indices(z) for z in structure.index.labels]
-        weights = structure.space.mu
+        dspace = DirectIntegralSpace(structure.index, structure.family.fiber_spaces())
+        layout, weights = structure._layout, structure.space.mu
     else:
         dspace = structure
-        index_groups = [
-            np.arange(dspace.offsets[i], dspace.offsets[i] + dspace.dims[i])
-            for i in range(dspace.index.size)
-        ]
-        weights = dspace.stacked_weights
+        layout, weights = dspace._layout, dspace.stacked_weights
 
-    block_part = np.zeros_like(matrix)
-    blocks = []
-    for idx in index_groups:
-        blocks.append(matrix[np.ix_(idx, idx)])
-        block_part[np.ix_(idx, idx)] = blocks[-1]
+    blocks = tuple(matrix[np.ix_(idx, idx)] for idx in layout)
+    block_part = _assemble_blocks(np.zeros_like(matrix), layout, blocks)
     off_norm = weighted_operator_norm(matrix - block_part, weights)
-    scale = 1.0 + float(np.abs(matrix).max())
-    if off_norm > _DECOMPOSABLE_RTOL * scale:
+    if off_norm > _DECOMPOSABLE_RTOL * _matrix_scale(matrix):
         raise NotDecomposableError(off_norm)
-    return DecomposableOperator(dspace, tuple(blocks))
+    return DecomposableOperator(dspace, blocks)
 
 
 def diagonalizable(dspace: DirectIntegralSpace, values) -> DecomposableOperator:
@@ -315,10 +296,10 @@ def commutes_with_diagonalizables(matrix, dspace: DirectIntegralSpace, *, tol: f
     first indicator whose commutator does not vanish.
     """
     matrix = np.asarray(matrix, dtype=float)
-    scale = 1.0 + float(np.abs(matrix).max())
-    for i, z in enumerate(dspace.index.labels):
+    scale = _matrix_scale(matrix)
+    for z, idx in zip(dspace.index.labels, dspace._layout):
         ind = np.zeros(dspace.dim)
-        ind[dspace.slice_of(i)] = 1.0
+        ind[idx] = 1.0
         commutator = matrix * ind[None, :] - ind[:, None] * matrix
         if weighted_operator_norm(commutator, dspace.stacked_weights) > tol * scale:
             return False, z
@@ -370,11 +351,9 @@ class DirectIntegralForm:
 
     @cached_property
     def assembled_matrix(self) -> np.ndarray:
-        out = np.zeros((self.dspace.dim, self.dspace.dim))
-        for i, (nu, m) in enumerate(zip(self.dspace.index.nu, self.matrices)):
-            s = self.dspace.slice_of(i)
-            out[s, s] = nu * m
-        return out
+        n = self.dspace.dim
+        weighted = (nu * m for nu, m in zip(self.dspace.index.nu, self.matrices))
+        return _assemble_blocks(np.zeros((n, n)), self.dspace._layout, weighted)
 
     def energy(self, field) -> float:
         return float(
@@ -474,10 +453,10 @@ def superpose(
     embed = assemble_l2(space, family)
     form = assemble_form(embed.dspace, fiber_forms)
 
-    energy_matrix = np.zeros((space.n, space.n))
-    for z, m in zip(family.index.labels, form.matrices):
-        idx = space.indices_of(family.fibers[z].support)
-        energy_matrix[np.ix_(idx, idx)] += family.index.weight(z) * m
+    weighted = (nu * m for nu, m in zip(family.index.nu, form.matrices))
+    energy_matrix = _assemble_blocks(
+        np.zeros((space.n, space.n)), embed._support_indices, weighted
+    )
 
     rng = np.random.default_rng(0) if rng is None else rng
     defect = 0.0

@@ -17,18 +17,15 @@ from typing import Mapping
 
 import numpy as np
 
+from ._linalg import _assemble_blocks
 from .direct_integral import assemble_l2
-from .errors import (
-    ConsistencyError,
-    HasKillingError,
-    NonPositivePhiError,
-    NotInvariantError,
-    PartitionMismatchError,
-)
+from .errors import ConsistencyError, NotInvariantError, PartitionMismatchError
 from .forms import (
     Classification,
     DirichletForm,
     _classify,
+    _density,
+    _matrix_scale,
     carre_du_champ,
     classify,
     girsanov_transform,
@@ -42,18 +39,6 @@ from .spaces import (
     QuotientMap,
     disintegrate_over_partition,
 )
-
-
-def _assemble_blocks(out: np.ndarray, layout, blocks) -> np.ndarray:
-    """Write each block at its layout positions of ``out``, in place.
-
-    The blocks of a layout are disjoint, so on a zero buffer this is the
-    exact block-diagonal sum, and a buffer can be reused for another set of
-    blocks over the same layout.
-    """
-    for idx, block in zip(layout, blocks):
-        out[np.ix_(idx, idx)] = block
-    return out
 
 
 def _max_abs_difference(out: np.ndarray, other: np.ndarray) -> float:
@@ -108,11 +93,22 @@ class ErgodicDecomposition:
     family: MeasureFamily
     fibers: tuple
     normalization_scale: float
-    residuals: Mapping[str, float]
 
     @property
     def labels(self) -> tuple:
         return self.quotient.index.labels
+
+    @cached_property
+    def residuals(self) -> dict:
+        """Max-abs defects of the energy reassembly and of the fiber generators.
+
+        Computed once, on first access; :func:`verify_decomposition` reads
+        ``form_reassembly`` instead of assembling the matrix again.
+        """
+        generator_defects = [_generator_defect(self.form, idx, fiber)
+                             for idx, fiber in zip(self.quotient._layout, self.fibers)]
+        reassembly = _max_abs_difference(self.reassembled_matrix(), self.form.matrix)
+        return {"form_reassembly": reassembly, "fiber_generator": _worst(generator_defects)}
 
     @cached_property
     def fiber_forms(self) -> dict:
@@ -143,7 +139,7 @@ def decompose(form: DirichletForm) -> ErgodicDecomposition:
     matrices are the diagonal blocks of the energy matrix divided by the raw
     block mass, which is the unique choice making the fiber semigroups the
     blocks of the global semigroup on the probability fibers (checked via
-    the generator blocks at construction).
+    the generator blocks in :attr:`ErgodicDecomposition.residuals`).
 
     Fibers are not re-validated: a principal block of a validated form over
     an invariant set is Markovian and positive semidefinite by construction,
@@ -156,29 +152,17 @@ def decompose(form: DirichletForm) -> ErgodicDecomposition:
     qmap, family = disintegrate_over_partition(form.space.normalized(), partition)
 
     fibers = []
-    generator_defects = []
     for z, idx in zip(qmap.index.labels, qmap._layout):
         raw_mass = float(form.space.mu[idx].sum())
         fiber_space = family.fibers[z].as_space()
-        fiber = DirichletForm._trusted(fiber_space, form.matrix[np.ix_(idx, idx)] / raw_mass)
-        generator_defects.append(_generator_defect(form, idx, fiber))
-        fibers.append(fiber)
-
-    dec = ErgodicDecomposition(
+        fibers.append(DirichletForm._trusted(fiber_space, form.matrix[np.ix_(idx, idx)] / raw_mass))
+    return ErgodicDecomposition(
         form=form,
         quotient=qmap,
         family=family,
         fibers=tuple(fibers),
         normalization_scale=scale,
-        residuals={},
     )
-    reassembly_defect = _max_abs_difference(dec.reassembled_matrix(), form.matrix)
-    object.__setattr__(
-        dec,
-        "residuals",
-        {"form_reassembly": reassembly_defect, "fiber_generator": _worst(generator_defects)},
-    )
-    return dec
 
 
 @dataclass(frozen=True)
@@ -221,8 +205,7 @@ def verify_decomposition(
     """
     form = dec.form
     n = form.n
-    scale = 1.0 + float(np.abs(form.matrix).max())
-    form_defect = _max_abs_difference(dec.reassembled_matrix(), form.matrix) / scale
+    form_defect = dec.residuals["form_reassembly"] / _matrix_scale(form.matrix)
 
     # One buffer serves every parameter: each pass rewrites all the blocks
     # and the entries off the blocks stay zero.
@@ -329,11 +312,18 @@ class WeightedDecomposition:
     base: ErgodicDecomposition
     lifted_measures: tuple
     lifted_forms: tuple
-    residuals: Mapping[str, float]
 
     @property
     def labels(self) -> tuple:
         return self.base.labels
+
+    @cached_property
+    def residuals(self) -> dict:
+        """The max-abs defect of the lifted fibers' energy reassembly, computed on first access."""
+        quotient, n = self.base.quotient, self.form.n
+        weighted = (w * fiber.matrix for w, fiber in zip(quotient.index.nu, self.lifted_forms))
+        reassembled = _assemble_blocks(np.zeros((n, n)), quotient._layout, weighted)
+        return {"form_reassembly": _max_abs_difference(reassembled, self.form.matrix)}
 
     @property
     def index_weights(self) -> np.ndarray:
@@ -360,13 +350,7 @@ def decompose_weighted(form: DirichletForm, phi) -> WeightedDecomposition:
     the same as transforming by the reciprocal density.  The invariant
     partition always equals the unweighted one.
     """
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (form.n,):
-        raise ValueError("density must be a vector over the points")
-    if not np.all(phi > 0):
-        raise NonPositivePhiError("density must be strictly positive")
-    if not form.killing_free:
-        raise HasKillingError("weighted decomposition requires a killing-free form")
+    phi = _density(form, phi)
     phi = phi / form.space.norm(phi)
 
     transformed = girsanov_transform(form, phi)
@@ -383,19 +367,13 @@ def decompose_weighted(form: DirichletForm, phi) -> WeightedDecomposition:
         lifted_measures.append(measure)
         lifted_forms.append(lifted)
 
-    dec = WeightedDecomposition(
+    return WeightedDecomposition(
         form=form,
         density=phi,
         base=base,
         lifted_measures=tuple(lifted_measures),
         lifted_forms=tuple(lifted_forms),
-        residuals={},
     )
-    weighted = (w * fiber.matrix for w, fiber in zip(base.quotient.index.nu, lifted_forms))
-    reassembled = _assemble_blocks(np.zeros((form.n, form.n)), base.quotient._layout, weighted)
-    reassembly_defect = _max_abs_difference(reassembled, form.matrix)
-    object.__setattr__(dec, "residuals", {"form_reassembly": reassembly_defect})
-    return dec
 
 
 @dataclass(frozen=True)

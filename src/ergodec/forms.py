@@ -183,7 +183,9 @@ class DirichletForm:
         if a.shape != (self.space.n, self.space.n):
             raise ValueError("matrix shape does not match the space")
         scale = _matrix_scale(a)
-        if np.abs(a - a.T).max() > 1e-13 * scale:
+        with np.errstate(over="ignore", invalid="ignore"):  # is_markovian rejects non-finite
+            asymmetric = np.abs(a - a.T).max() > 1e-13 * scale
+        if asymmetric:
             raise ValueError("energy matrix must be symmetric")
         ok, payload = is_markovian(a, self.space)
         if not ok:
@@ -198,7 +200,9 @@ class DirichletForm:
     @classmethod
     def from_matrix(cls, space: FiniteMeasureSpace, matrix) -> "DirichletForm":
         matrix = np.asarray(matrix, dtype=float)
-        return cls(space, 0.5 * (matrix + matrix.T))
+        with np.errstate(over="ignore", invalid="ignore"):
+            matrix = 0.5 * (matrix + matrix.T)
+        return cls(space, matrix)
 
     @classmethod
     def _unchecked(cls, space: FiniteMeasureSpace, matrix, jump, killing) -> "DirichletForm":
@@ -247,7 +251,8 @@ class DirichletForm:
         constructor, with its errors and witnesses.
         """
         jump = np.asarray(jump, dtype=float)
-        jump = jump + jump.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            jump = jump + jump.T
         jump *= 0.5
         np.fill_diagonal(jump, 0.0)  # a kernel carries no diagonal
         killing = np.zeros(space.n) if killing is None else np.asarray(killing, dtype=float)
@@ -468,6 +473,18 @@ def is_irreducible(form: DirichletForm) -> bool:
     return len(invariant_sets(form)) == 1
 
 
+def _density(form: DirichletForm, phi) -> np.ndarray:
+    """``phi`` as a float vector, checked as every reweighting of ``form`` needs."""
+    phi = np.asarray(phi, dtype=float)
+    if phi.shape != (form.n,):
+        raise ValueError("density must be a vector over the points")
+    if not np.all(phi > 0):
+        raise NonPositivePhiError("density must be strictly positive")
+    if not form.killing_free:
+        raise HasKillingError("the reweighting transform requires a killing-free form")
+    return phi
+
+
 def girsanov_transform(form: DirichletForm, phi) -> DirichletForm:
     """Reweight a killing-free form by a strictly positive density.
 
@@ -479,13 +496,7 @@ def girsanov_transform(form: DirichletForm, phi) -> DirichletForm:
     exactly.  Killing is refused: the reweighting identity needs the energy
     to be carried by jumps alone.
     """
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (form.n,):
-        raise ValueError("density must be a vector over the points")
-    if not np.all(phi > 0):
-        raise NonPositivePhiError("density must be strictly positive")
-    if not form.killing_free:
-        raise HasKillingError("the reweighting transform requires a killing-free form")
+    phi = _density(form, phi)
     phi_sq = phi * phi
     weight = 0.5 * (phi_sq[:, None] + phi_sq[None, :])
     new_space = FiniteMeasureSpace(form.space.points, phi_sq * form.space.mu)

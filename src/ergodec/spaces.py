@@ -255,6 +255,16 @@ class QuotientMap:
     def block_indices(self, label) -> np.ndarray:
         return self._layout[self.index.position(label)]
 
+    @cached_property
+    def family(self) -> MeasureFamily:
+        """The conditional measures in index label order: the fiber of ``z`` is
+        mu on ``blocks[z]`` divided by its pushforward mass nu(z), a probability."""
+        fibers = {
+            z: Fiber(self.blocks[z], self.space.mu[idx] / mass)
+            for z, idx, mass in zip(self.index.labels, self._layout, self.index.nu)
+        }
+        return MeasureFamily(self.index, fibers)
+
     def __call__(self, point):
         return self.assignment[point]
 
@@ -311,10 +321,7 @@ def disintegrate_over_partition(
         If the blocks fail to cover the space exactly once.
     """
     qmap = quotient_by_invariant_partition(space, partition)
-    fibers = {}
-    for z, idx, mass in zip(qmap.index.labels, qmap._layout, qmap.index.nu):
-        fibers[z] = Fiber(qmap.blocks[z], space.mu[idx] / mass)
-    return qmap, MeasureFamily(qmap.index, fibers)
+    return qmap, qmap.family
 
 
 def is_separated(family: MeasureFamily):

@@ -374,3 +374,32 @@ def test_invalid_input_keeps_its_message(tmp_path, capsys, instance, message):
     path.write_text(json.dumps(instance))
     assert main(["decompose", "--input", str(path)]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# Non-finite entries, and finite ones whose symmetrization overflows, exit 2
+# with the error line alone: no numpy warning reaches stderr.
+NON_FINITE_INPUTS = {
+    "inf-edge": ({"space": _SPACE, "edges": [["a", "b", float("inf")]]}, "(0, 0)"),
+    "overflowing-row": ({"space": _SPACE, "edges": [["a", "b", 1.7e308], ["a", "c", 1.7e308]]},
+                        "(0, 0)"),
+    "inf-killing": ({"space": {"points": ["a", "b"], "mu": [1.0, 1.0]},
+                     "edges": [["a", "b", 1.0]], "killing": [float("inf"), 0.0]}, "(0, 0)"),
+    "inf-matrix": ({"space": {"points": ["a", "b"], "mu": [1.0, 1.0]},
+                    "matrix": [[1.0, float("inf")], [-float("inf"), 1.0]]}, "(0, 1)"),
+    "overflowing-matrix": ({"space": {"points": ["a", "b"], "mu": [1.0, 1.0]},
+                            "matrix": [[1e308, -1e308], [-1.7e308, 1e308]]}, "(0, 0)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_INPUTS))
+def test_non_finite_input_prints_one_error_line(tmp_path, name):
+    instance, entry = NON_FINITE_INPUTS[name]
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(instance))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ergodec", "decompose", "--input", str(path)],
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", f"error: matrix entry {entry} is not finite\n"
+    )

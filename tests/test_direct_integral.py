@@ -9,22 +9,27 @@ from ergodec import (
     MeasureFamily,
     NotDecomposableError,
     NotSeparatedError,
+    QuotientMap,
     assemble_form,
     assemble_l2,
     assemble_lp,
     assemble_operator,
     commutes_with_diagonalizables,
+    decompose,
     decompose_operator,
     diagonalizable,
     disintegrate_over_partition,
     functional_calculus,
     quotient_by_invariant_partition,
+    random_form,
     resolvent,
     semigroup,
     superpose,
     validate_space,
 )
 from ergodec._linalg import chebyshev_coefficients, chebyshev_matrix, polynomial_matrix
+
+from conftest import naive_block_sum
 
 def twin_family(form):
     return disintegrate_over_partition(form.space, [["a", "b"], ["c", "d"]])
@@ -402,3 +407,61 @@ def test_superpose_requires_separated():
     family = MeasureFamily(index, {0: Fiber(("*",), [1.0]), 1: Fiber(("*",), [1.0])})
     with pytest.raises(NotSeparatedError):
         superpose(space, family, [np.zeros((1, 1)), np.zeros((1, 1))])
+
+
+# ------------------------------------------------------------ block layout
+
+
+@pytest.mark.parametrize(
+    "assignment",
+    [
+        {"a": "y", "b": "x", "c": "x"},
+        {"a": "y", "b": "y", "c": "x", "d": "x"},
+    ],
+    ids=["sizes-2-1", "sizes-2-2"],
+)
+def test_decompose_operator_follows_quotient_label_order(assignment):
+    # The "x" block holds the later points, so the label order is not the
+    # smallest-point order that disintegrate_over_partition would choose.
+    points = tuple(assignment)
+    rng = np.random.default_rng(4)
+    space = validate_space(zip(points, rng.uniform(0.5, 2.0, len(points))))
+    labels = ("x", "y")
+    masses = [sum(w for p, w in zip(points, space.mu) if assignment[p] == z) for z in labels]
+    qmap = QuotientMap(space, assignment, IndexSpace(labels, masses))
+    same_block = np.array([[assignment[p] == assignment[q] for q in points] for p in points])
+    matrix = np.where(same_block, rng.uniform(-1.0, 1.0, same_block.shape), 0.0)
+
+    op = decompose_operator(matrix, qmap)
+    assert op.dspace.index.labels == qmap.index.labels
+    for i, z in enumerate(qmap.index.labels):
+        assert op.dspace.fibers[i].points == qmap.blocks[z]
+        idx = qmap.block_indices(z)
+        assert np.array_equal(op.blocks[i], matrix[np.ix_(idx, idx)])
+
+
+def multi_fiber_decompositions():
+    return [decompose(random_form(seed, n, comps, killing_prob=0.2))
+            for seed, n, comps in ((1, 12, 3), (2, 30, 7), (3, 25, 25))]
+
+
+@pytest.mark.parametrize("dec", multi_fiber_decompositions())
+def test_block_writers_match_naive_sum(dec):
+    space, family = dec.quotient.space, dec.family
+    dspace = assemble_l2(space, family).dspace
+    bounds = np.cumsum((0,) + dspace.dims)
+    stacked = [np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    rng = np.random.default_rng(len(dspace.dims))
+
+    blocks = [rng.uniform(-1.0, 1.0, (d, d)) for d in dspace.dims]
+    op = assemble_operator(dspace, blocks)
+    assert np.array_equal(op.assembled, naive_block_sum(dspace.dim, stacked, blocks))
+
+    matrices = [f.matrix for f in dec.fibers]
+    weighted = [nu * m for nu, m in zip(dspace.index.nu, matrices)]
+    form = assemble_form(dspace, matrices)
+    assert np.array_equal(form.assembled_matrix, naive_block_sum(dspace.dim, stacked, weighted))
+
+    supports = [space.indices_of(family.fibers[z].support) for z in family.index.labels]
+    result = superpose(space, family, dec.fibers)
+    assert np.array_equal(result.energy_matrix, naive_block_sum(space.n, supports, weighted))

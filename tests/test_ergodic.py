@@ -504,3 +504,20 @@ def test_decompose_and_verify_eigendecomposition_count(monkeypatch, killing_prob
     dec = decompose(form)
     assert verify_decomposition(dec).passed
     assert calls == {"eigh": 1 + len(dec.fibers), "eigvalsh": 0}
+
+
+def test_verify_reads_the_decompose_reassembly(monkeypatch):
+    from ergodec.ergodic import ErgodicDecomposition
+
+    calls = []
+    original = ErgodicDecomposition.reassembled_matrix
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(ErgodicDecomposition, "reassembled_matrix", counted)
+    dec = decompose(random_form(4, 30, 5, killing_prob=0.2))
+    assert len(calls) == 0
+    report = verify_decomposition(dec)
+    assert report.passed and len(calls) == 1
