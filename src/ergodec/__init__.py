@@ -27,6 +27,7 @@ from .errors import (
     NotInvariantError,
     NotMarkovianError,
     NotPSDError,
+    NotPushforwardError,
     NotSeparatedError,
     PartitionMismatchError,
 )

@@ -211,21 +211,24 @@ def _cmd_superpose(args) -> int:
 
 def _cmd_measures(args) -> int:
     form = _load_form(args.input)
-    measures = ergodic_measures(form)
+    # The mixture finds the ergodic measures first, so one call serves both.
+    if form.killing_free:
+        mixture = decompose_invariant_measure(form, form.space.mu, tol=args.tolerance)
+        measures = mixture.ergodic
+    else:
+        mixture, measures = None, ergodic_measures(form)
     report = {
         "ergodic": [
             {"component": list(m.component), "weights": [float(w) for w in m.weights]}
             for m in measures
-        ]
+        ],
+        "mu_mixture": None,
     }
-    if form.killing_free:
-        mixture = decompose_invariant_measure(form, form.space.mu, tol=args.tolerance)
+    if mixture is not None:
         report["mu_mixture"] = {
             "weights": [float(w) for w in mixture.weights],
             "reconstruction_defect": mixture.reconstruction_defect,
         }
-    else:
-        report["mu_mixture"] = None
     _emit(report, args)
     return 0
 

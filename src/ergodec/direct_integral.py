@@ -408,11 +408,12 @@ def _fiber_matrix(entry, fiber: FiniteMeasureSpace) -> np.ndarray:
 
 def assemble_form(dspace: DirectIntegralSpace, fiber_forms) -> DirectIntegralForm:
     """Assemble per-fiber quadratic forms (matrices or Dirichlet forms)."""
+    fiber_forms = tuple(fiber_forms)
+    if len(fiber_forms) != dspace.index.size:
+        raise FiberDimensionMismatchError("one fiber form per index label required")
     matrices = tuple(
         _fiber_matrix(entry, fiber) for entry, fiber in zip(fiber_forms, dspace.fibers)
     )
-    if len(matrices) != dspace.index.size:
-        raise FiberDimensionMismatchError("one fiber form per index label required")
     return DirectIntegralForm(dspace, matrices)
 
 

@@ -443,20 +443,41 @@ def ergodic_measures(form: DirichletForm, *, tol: float = 1e-10) -> tuple:
     ergodic ones are the normalized restrictions of the reference measure
     to the killing-free components; invariance of each returned measure is
     verified against the semigroup on the standard basis.
+
+    The work runs component by component on the fibers of
+    :func:`decompose`: the semigroup is the direct sum of the fiber
+    semigroups, so each component needs only its own eigendecomposition
+    and time-one block.
     """
-    return _ergodic_measures(form, semigroup(form, 1.0), tol)
+    dec = decompose(form)
+    return _ergodic_measures(dec, _time_one_blocks(dec), tol)
 
 
-def _ergodic_measures(form: DirichletForm, t1: np.ndarray, tol: float = 1e-10) -> tuple:
-    """:func:`ergodic_measures` with the time-one semigroup matrix supplied."""
+def _time_one_blocks(dec: ErgodicDecomposition) -> tuple:
+    """The time-one semigroup of each fiber: the diagonal blocks of the global T_1."""
+    return tuple(semigroup(fiber, 1.0) for fiber in dec.fibers)
+
+
+def _ergodic_measures(dec: ErgodicDecomposition, t1_blocks, tol: float = 1e-10) -> tuple:
+    """:func:`ergodic_measures` of ``dec.form``, given the time-one blocks of its fibers.
+
+    The components are classified against the scale of the global form,
+    as :func:`~ergodec.forms.classify` does, with the mass of each block
+    T_1 in place of the rows of the global T_1.
+    """
+    form, layout = dec.form, dec.quotient._layout
+    t1_mass = np.empty(form.n)
+    for idx, t1 in zip(layout, t1_blocks):
+        t1_mass[idx] = t1 @ np.ones(len(idx))
+    blocks = tuple(dec.quotient.blocks[z] for z in dec.labels)
+    classes = _classify(form, blocks, t1_mass).per_component.values()
     out = []
-    for z, comp in _classify(form, t1).per_component.items():
+    for idx, t1, comp in zip(layout, t1_blocks, classes):
         if comp.transient:
             continue
-        idx = form.space.indices_of(comp.points)
         weights = np.zeros(form.n)
         weights[idx] = form.space.mu[idx] / form.space.mu[idx].sum()
-        defect = float(np.abs(t1.T @ weights - weights).max())
+        defect = float(np.abs(t1.T @ weights[idx] - weights[idx]).max())
         if defect > tol:
             raise ConsistencyError(
                 f"stationarity check failed on component {comp.points}", {"stationarity": defect}
@@ -490,9 +511,12 @@ def decompose_invariant_measure(
 ) -> InvariantMeasureMixture:
     """Write an invariant measure as a mixture of the ergodic measures.
 
-    The measure is checked for invariance under the time-one semigroup on
-    the standard basis first; the mixture weight of an ergodic component is
-    the total mass the measure gives it, and the reconstruction is exact.
+    The ergodic measures are found first, as :func:`ergodic_measures`
+    finds them, and their checks raise first.  Then the measure is checked
+    for invariance under the time-one semigroup on the standard basis,
+    fiber by fiber; the mixture weight of an ergodic component is the total
+    mass the measure gives it, and the reconstruction is exact.
+    :attr:`InvariantMeasureMixture.ergodic` holds the ergodic measures.
 
     Raises
     ------
@@ -504,12 +528,14 @@ def decompose_invariant_measure(
         raise ValueError("measure must be a weight vector over the points")
     if np.any(eta < 0):
         raise ValueError("measure weights must be nonnegative")
-    t1 = semigroup(form, 1.0)
-    defect = float(np.abs(t1.T @ eta - eta).max())
+    dec = decompose(form)
+    t1_blocks = _time_one_blocks(dec)
+    measures = _ergodic_measures(dec, t1_blocks)
+    defect = _worst(float(np.abs(t1.T @ eta[idx] - eta[idx]).max())
+                    for idx, t1 in zip(dec.quotient._layout, t1_blocks))
     if defect > tol * max(1.0, float(eta.max(initial=0.0))):
         raise NotInvariantError(defect)
 
-    measures = _ergodic_measures(form, t1)
     weights = np.array(
         [float(eta[form.space.indices_of(m.component)].sum()) for m in measures]
     )

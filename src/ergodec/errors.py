@@ -23,6 +23,10 @@ class NotAPartitionError(ErgodecError):
     pass
 
 
+class NotPushforwardError(ErgodecError):
+    """An index weight is not the mass of the block it labels."""
+
+
 class NotPSDError(ErgodecError):
     def __init__(self, min_eigenvalue, message=None):
         self.min_eigenvalue = min_eigenvalue

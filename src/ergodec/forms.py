@@ -46,15 +46,25 @@ _PSD_RTOL = 1e-12
 
 
 def _matrix_scale(matrix) -> float:
-    return 1.0 + float(np.abs(matrix).max())
+    """1 + max |A|, without an n x n ``np.abs`` temporary.
+
+    The outer ``abs`` clears the sign of a NaN, as ``np.abs`` does, so the
+    result is bitwise ``1 + np.abs(A).max()``.
+    """
+    return 1.0 + abs(max(float(matrix.max()), -float(matrix.min())))
 
 
-def _jump_killing(q: np.ndarray):
-    """The (jump, killing) pair of a symmetric Markovian matrix."""
+def _jump(q: np.ndarray) -> np.ndarray:
+    """The jump kernel of a symmetric Markovian matrix: -q off the diagonal, floored at 0."""
     jump = np.negative(q)
     np.maximum(jump, 0.0, out=jump)
     np.fill_diagonal(jump, 0.0)
-    return jump, np.maximum(q.sum(axis=1), 0.0)
+    return jump
+
+
+def _killing(q: np.ndarray) -> np.ndarray:
+    """The killing vector of a symmetric Markovian matrix: its row sums, floored at 0."""
+    return np.maximum(q.sum(axis=1), 0.0)
 
 
 def _contraction_energy_drop(matrix, f):
@@ -159,7 +169,7 @@ def is_markovian(matrix, space: FiniteMeasureSpace, *, tol: float | None = None)
             best[x] += -row_sums[x] / q[x, x] if q[x, x] > tol else 1.0
     if best is not None and _contraction_energy_drop(q, best) > 0:
         return False, best
-    return True, _jump_killing(q)
+    return True, (_jump(q), _killing(q))
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,6 +182,9 @@ class DirichletForm:
     :meth:`from_jump_kernel` skips these checks when a one-pass certificate
     on its input proves them (see there); every other input goes through
     the constructor.
+
+    A form stores one n x n array, its matrix, and the killing vector.  The
+    jump kernel is derived from the matrix on first access.
     """
 
     space: FiniteMeasureSpace
@@ -194,8 +207,11 @@ class DirichletForm:
         rebuilt = np.diag(jump.sum(axis=1) + killing) - jump
         if np.abs(rebuilt - a).max() > 1e-13 * scale:
             raise NotMarkovianError(message="jump/killing data does not rebuild the matrix")
-        object.__setattr__(self, "_jump", _readonly(jump))
+        del jump, rebuilt
+        with np.errstate(over="ignore"):
+            symmetric = np.array_equal(a, 0.5 * (a + a.T))
         object.__setattr__(self, "_killing", _readonly(killing))
+        object.__setattr__(self, "_symmetric", symmetric)
 
     @classmethod
     def from_matrix(cls, space: FiniteMeasureSpace, matrix) -> "DirichletForm":
@@ -205,15 +221,20 @@ class DirichletForm:
         return cls(space, matrix)
 
     @classmethod
-    def _unchecked(cls, space: FiniteMeasureSpace, matrix, jump, killing) -> "DirichletForm":
-        """Wrap arrays into a form without validation; the arrays become read-only."""
-        for array in (matrix, jump, killing):
-            array.flags.writeable = False
+    def _unchecked(cls, space: FiniteMeasureSpace, matrix) -> "DirichletForm":
+        """Wrap a bitwise symmetric matrix into a form without validation.
+
+        The matrix becomes read-only, and the killing vector is read from it
+        as :func:`is_markovian` reads it.
+        """
+        matrix.flags.writeable = False
+        killing = _killing(matrix)
+        killing.flags.writeable = False
         form = object.__new__(cls)
         object.__setattr__(form, "space", space)
         object.__setattr__(form, "matrix", matrix)
-        object.__setattr__(form, "_jump", jump)
         object.__setattr__(form, "_killing", killing)
+        object.__setattr__(form, "_symmetric", True)
         return form
 
     @classmethod
@@ -222,15 +243,15 @@ class DirichletForm:
 
         A principal block of a validated form over an invariant set, or a
         positive multiple of one, is symmetric, PSD and Markovian.  The
-        matrix is symmetrized as in :meth:`from_matrix` and the jump and
-        killing data come from the accept branch of :func:`is_markovian`,
-        so the result equals ``from_matrix(space, matrix)`` exactly, without
-        its ``eigvalsh`` and witness search.
+        matrix is symmetrized as in :meth:`from_matrix`, and the killing and
+        the derived jump kernel are read from it as in the accept branch of
+        :func:`is_markovian`, so the result equals ``from_matrix(space,
+        matrix)`` exactly, without its ``eigvalsh`` and witness search.
         """
         matrix = np.asarray(matrix, dtype=float)
         matrix = matrix + matrix.T
         matrix *= 0.5
-        return cls._unchecked(space, matrix, *_jump_killing(matrix))
+        return cls._unchecked(space, matrix)
 
     @classmethod
     def from_jump_kernel(cls, space: FiniteMeasureSpace, jump, killing=None) -> "DirichletForm":
@@ -244,9 +265,11 @@ class DirichletForm:
         infinite entry makes its row sum infinite, so certified input is
         finite, and its matrix is bitwise symmetric, Markovian and
         diagonally dominant, hence PSD.  The result equals the validated
-        form exactly: the same matrix operations, with jump and killing read
-        back from the matrix as :func:`is_markovian` does.  Input without
-        the certificate (a negative, NaN or infinite entry, a row sum that
+        form exactly: the same matrix operations, with the killing read from
+        the matrix as :func:`is_markovian` does.  The kernel is not kept: the
+        form derives :attr:`jump` from its matrix on first access, equal to
+        the symmetrized input off the diagonal.  Input without the
+        certificate (a negative, NaN or infinite entry, a row sum that
         overflows, a shape that does not match) goes through the
         constructor, with its errors and witnesses.
         """
@@ -268,16 +291,31 @@ class DirichletForm:
             return cls(space, np.diag(diag) - jump)
         matrix = np.diag(diag)
         matrix -= jump
-        del jump  # read back from the matrix below; free it first
-        return cls._unchecked(space, matrix, *_jump_killing(matrix))
+        return cls._unchecked(space, matrix)
 
     @property
     def n(self) -> int:
         return self.space.n
 
-    @property
+    def _symmetrized(self) -> np.ndarray:
+        """The symmetric matrix that the jump kernel and killing are read from.
+
+        That is the matrix itself, unless the constructor was given a matrix
+        that is symmetric only within tolerance; then it is 0.5 (A + A^T),
+        as :func:`is_markovian` reads it.
+        """
+        a = self.matrix
+        if self._symmetric:
+            return a
+        with np.errstate(over="ignore"):
+            return 0.5 * (a + a.T)
+
+    @cached_property
     def jump(self) -> np.ndarray:
-        return self._jump
+        """The jump kernel J(x, y) = max(-A(x, y), 0) off the diagonal, derived on first access."""
+        jump = _jump(self._symmetrized())
+        jump.flags.writeable = False
+        return jump
 
     @property
     def killing(self) -> np.ndarray:
@@ -446,10 +484,16 @@ def invariant_sets(form: DirichletForm) -> tuple:
     A jump weight below ``COMPONENT_THRESHOLD`` times the largest weight is
     treated as zero so that numerically vanishing couplings cannot merge
     components.  Blocks are ordered by smallest point position.
+
+    The graph is read from the matrix: off the diagonal the jump weight is
+    max(-q, 0), so a weight above a threshold c >= 0 is an entry q < -c.  A
+    diagonal entry below -c only adds a loop, which joins nothing.
     """
-    jmax = float(form.jump.max())
-    adjacency = form.jump > COMPONENT_THRESHOLD * jmax if jmax > 0 else np.zeros_like(form.jump, dtype=bool)
+    q = form._symmetrized()
     n = form.n
+    off_diagonal = q.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]  # a view, no copy
+    jmax = -float(off_diagonal.min(initial=0.0))
+    adjacency = q < -COMPONENT_THRESHOLD * jmax if jmax > 0 else np.zeros((n, n), dtype=bool)
     seen = np.zeros(n, dtype=bool)
     blocks = []
     for start in range(n):
@@ -538,14 +582,13 @@ def classify(form: DirichletForm, *, tol: float = 1e-10) -> Classification:
     splits as the union of recurrent blocks plus the union of transient
     blocks, with nothing left over.
     """
-    return _classify(form, semigroup(form, 1.0), tol)
+    t1_mass = semigroup(form, 1.0) @ np.ones(form.n)
+    return _classify(form, invariant_sets(form), t1_mass, tol)
 
 
-def _classify(form: DirichletForm, t1: np.ndarray, tol: float = 1e-10) -> Classification:
-    """:func:`classify` with the time-one semigroup matrix supplied."""
-    blocks = invariant_sets(form)
+def _classify(form: DirichletForm, blocks, t1_mass: np.ndarray, tol: float = 1e-10) -> Classification:
+    """:func:`classify` over the invariant ``blocks``, given the time-one masses T_1 1."""
     scale = _matrix_scale(form.matrix)
-    t1_mass = t1 @ np.ones(form.n)
 
     per = {}
     cons_points, trans_points = [], []

@@ -107,17 +107,21 @@ def family_from_json(obj: dict) -> MeasureFamily:
     return MeasureFamily(index, fibers)
 
 
-def _edge_list(points, jump) -> list:
-    """``[x, y, w]`` for each positive jump weight above the diagonal, row-major."""
-    rows, cols = np.nonzero(np.triu(jump, 1) > 0)
-    weights = jump[rows, cols].tolist()
+def _edge_list(points, matrix) -> list:
+    """``[x, y, w]`` for each positive jump weight above the diagonal, row-major.
+
+    Read from a symmetric energy matrix: off the diagonal the jump weight is
+    max(-q, 0), so the edges are the negative entries q and their weights -q.
+    """
+    rows, cols = np.nonzero(np.triu(matrix < 0, 1))
+    weights = np.negative(matrix[rows, cols]).tolist()
     return [[points[i], points[j], w] for i, j, w in zip(rows.tolist(), cols.tolist(), weights)]
 
 
 def form_to_json(form: DirichletForm) -> dict:
     return {
         "space": space_to_json(form.space),
-        "edges": _edge_list(form.space.points, form.jump),
+        "edges": _edge_list(form.space.points, form._symmetrized()),
         "killing": [float(k) for k in form.killing],
     }
 
@@ -224,7 +228,7 @@ def decomposition_report(
         entry = {
             "support": list(fiber.space.points),
             "mu": [float(w) for w in fiber.space.mu],
-            "edges": _edge_list(fiber.space.points, fiber.jump),
+            "edges": _edge_list(fiber.space.points, fiber._symmetrized()),
             "killing": [float(k) for k in fiber.killing],
         }
         if fiber_classes is not None:

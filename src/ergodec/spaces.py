@@ -20,6 +20,7 @@ from .errors import (
     NonFiniteError,
     NonPositiveWeightError,
     NotAPartitionError,
+    NotPushforwardError,
 )
 
 Label = Hashable
@@ -222,7 +223,13 @@ class MeasureFamily:
 
 @dataclass(frozen=True, eq=False)
 class QuotientMap:
-    """A total map from points to fiber labels with the pushforward index measure."""
+    """A total map from points to fiber labels with the pushforward index measure.
+
+    Every point goes to an index label, every label receives a point, and
+    the weight of each label is the mass of its block, within a relative
+    1e-12; otherwise construction raises :class:`NotAPartitionError` or
+    :class:`NotPushforwardError`.
+    """
 
     space: FiniteMeasureSpace
     assignment: Mapping[Label, Label]
@@ -232,7 +239,24 @@ class QuotientMap:
         assignment = dict(self.assignment)
         object.__setattr__(self, "assignment", assignment)
         if set(assignment) != set(self.space.points):
-            raise ValueError("assignment must cover exactly the points of the space")
+            raise NotAPartitionError("assignment must cover exactly the points of the space")
+        labels = self.index._positions
+        for x, z in assignment.items():
+            try:
+                known = z in labels
+            except TypeError:  # unhashable, so no label
+                known = False
+            if not known:
+                raise NotAPartitionError(f"point {x!r} is assigned to {z!r}, which is not an index label")
+        for z, block in self.blocks.items():
+            if not block:
+                raise NotAPartitionError(f"index label {z!r} has no points")
+        for z, idx, nu in zip(self.index.labels, self._layout, self.index.nu):
+            mass = float(self.space.mu[idx].sum())
+            if abs(nu - mass) > 1e-12 * mass:
+                raise NotPushforwardError(
+                    f"index weight {float(nu)!r} of {z!r} is not the mass {mass!r} of its block"
+                )
 
     @cached_property
     def blocks(self) -> dict:

@@ -139,6 +139,19 @@ def naive_block_sum(n, index_groups, blocks):
     return out
 
 
+def spy(monkeypatch, module, name, record):
+    """Wrap ``module.name`` so that each call appends ``record(*args)`` to the returned list."""
+    original = getattr(module, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(record(*args))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 def validated_jump_kernel_form(space, jump, killing=None):
     """``DirichletForm.from_jump_kernel`` through the validating constructor."""
     jump = np.asarray(jump, dtype=float)

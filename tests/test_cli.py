@@ -10,6 +10,8 @@ from ergodec import decompose, verify_decomposition
 from ergodec.cli import main
 from ergodec.serialize import form_from_json, form_to_json
 
+from conftest import spy
+
 
 def write_form(tmp_path, form, name="form.json"):
     path = tmp_path / name
@@ -249,24 +251,36 @@ def test_edge_to_unknown_point_exits_2(tmp_path, command):
     assert proc.stdout == ""
 
 
-def test_measures_builds_time_one_semigroup_twice(tmp_path, monkeypatch, capsys):
+def test_measures_builds_time_one_semigroup_once_per_fiber(tmp_path, monkeypatch, capsys):
     import ergodec.forms
 
     from ergodec import random_form
 
     form = random_form(2, 30, 4)
     assert form.killing_free
-    original = ergodec.forms.semigroup_from_eig
-    calls = []
-
-    def counted(eig, t):
-        calls.append(t)
-        return original(eig, t)
-
-    monkeypatch.setattr(ergodec.forms, "semigroup_from_eig", counted)
-    assert main(["measures", "--input", write_form(tmp_path, form)]) == 0
-    assert calls == [1.0, 1.0]
+    path = write_form(tmp_path, form)
+    times = spy(monkeypatch, ergodec.forms, "semigroup_from_eig", lambda eig, t: (len(eig[0]), t))
+    eigh = spy(monkeypatch, np.linalg, "eigh", len)
+    eigvalsh = spy(monkeypatch, np.linalg, "eigvalsh", len)
+    assert main(["measures", "--input", path]) == 0
+    # One time-one block per component, and no n-sized eigendecomposition.
+    assert sorted(times) == sorted((len(b), 1.0) for b in decompose(form).quotient._layout)
+    assert sum(n for n, _ in times) == form.n
+    assert sorted(eigh) == sorted(n for n, _ in times)
+    assert max(eigvalsh) < form.n
     assert json.loads(capsys.readouterr().out)["mu_mixture"] is not None
+
+
+@pytest.mark.parametrize("command", ["decompose", "classify", "measures"])
+def test_commands_build_no_jump_kernel(tmp_path, monkeypatch, capsys, command):
+    import ergodec.forms
+
+    from ergodec import random_form
+
+    path = write_form(tmp_path, random_form(3, 30, 4, killing_prob=0.3))
+    calls = spy(monkeypatch, ergodec.forms, "_jump", len)
+    assert main([command, "--input", path]) == 0
+    assert calls == []
 
 
 # One input per class of malformed document.  Each exits 2 with a single

@@ -189,6 +189,18 @@ def test_assemble_form_dimension_mismatch(fx_twin):
         assemble_form(embed.dspace, [np.zeros((3, 3)), np.zeros((2, 2))])
 
 
+@pytest.mark.parametrize("extra", [np.eye(5), "junk"])
+def test_assemble_form_rejects_extra_fiber_forms(fx_twin, extra):
+    # Three forms on two fibers: the third must not be dropped silently.
+    _, family = twin_family(fx_twin)
+    embed = assemble_l2(fx_twin.space, family)
+    forms = [np.zeros((2, 2)), np.zeros((2, 2)), extra]
+    with pytest.raises(FiberDimensionMismatchError):
+        assemble_form(embed.dspace, forms)
+    with pytest.raises(FiberDimensionMismatchError):
+        superpose(fx_twin.space, family, forms)
+
+
 def test_assembled_semigroup_resolvent_decompose(fx_twin):
     _, family = twin_family(fx_twin)
     embed = assemble_l2(fx_twin.space, family)

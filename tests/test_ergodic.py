@@ -9,18 +9,20 @@ from ergodec import (
     carre_decomposition,
     carre_du_champ,
     classification_decomposition,
+    classify,
     compare_projective,
     decompose,
     decompose_invariant_measure,
     decompose_weighted,
     ergodic_measures,
     invariant_measure_relations,
+    invariant_sets,
     random_form,
     validate_space,
     verify_decomposition,
 )
 
-from conftest import brute_force_invariant_partition
+from conftest import brute_force_invariant_partition, spy
 
 
 # ------------------------------------------------------------ decompose
@@ -521,3 +523,74 @@ def test_verify_reads_the_decompose_reassembly(monkeypatch):
     assert len(calls) == 0
     report = verify_decomposition(dec)
     assert report.passed and len(calls) == 1
+
+
+# ------------------------------------------------- components-first measures
+
+
+@pytest.mark.parametrize("form", multi_block_forms())
+def test_blockwise_time_one_equals_dense(form):
+    from ergodec.ergodic import _assemble_blocks, _time_one_blocks
+    from ergodec.forms import _matrix_scale, semigroup
+
+    dec = decompose(form)
+    blockwise = _assemble_blocks(np.zeros((form.n, form.n)), dec.quotient._layout, _time_one_blocks(dec))
+    dense = semigroup(form, 1.0)
+    assert np.abs(blockwise - dense).max() <= 1e-12 * _matrix_scale(form.matrix)
+
+
+def coupled_below_threshold(fraction):
+    """Two 3-point paths joined by one edge of ``fraction`` times the largest weight."""
+    space = validate_space(zip("abcdef", [1.0, 2.0, 0.5, 1.5, 1.0, 0.25]))
+    jump = np.zeros((6, 6))
+    for x, y, w in ((0, 1, 2.0), (1, 2, 1.0), (3, 4, 1.5), (4, 5, 0.5), (2, 3, fraction * 2.0)):
+        jump[x, y] = jump[y, x] = w
+    return DirichletForm.from_jump_kernel(space, jump)
+
+
+@pytest.mark.parametrize("fraction", [0.999e-12, 0.5e-12, 1e-14])
+def test_couplings_below_component_threshold_split_the_measures(fraction):
+    # The dense T_1 leaks across the coupling and the fiber blocks do not.
+    # The verdicts are pinned: two components, each recurrent with its own
+    # ergodic measure, and mu the mixture of the two.
+    from ergodec.forms import semigroup
+
+    form = coupled_below_threshold(fraction)
+    blocks = (("a", "b", "c"), ("d", "e", "f"))
+    assert invariant_sets(form) == blocks
+    dense = semigroup(form, 1.0)
+    assert dense[:3, 3:].max() > 0.0
+
+    measures = ergodic_measures(form)
+    assert tuple(m.component for m in measures) == blocks
+    mu = form.space.mu
+    for m, idx in zip(measures, (slice(0, 3), slice(3, 6))):
+        expected = np.zeros(6)
+        expected[idx] = mu[idx] / mu[idx].sum()
+        assert np.array_equal(m.weights, expected)
+        assert np.abs(dense.T @ m.weights - m.weights).max() <= 1e-10
+    mixture = decompose_invariant_measure(form, mu)
+    for a, b in zip(mixture.ergodic, measures, strict=True):
+        assert a.component == b.component and np.array_equal(a.weights, b.weights)
+    assert mixture.weights.tolist() == [mu[:3].sum(), mu[3:].sum()]
+    cls = classify(form)
+    assert [c.recurrent for c in cls.per_component.values()] == [True, True]
+    assert verify_decomposition(decompose(form)).passed
+
+
+def test_coupling_at_component_threshold_joins_the_blocks():
+    form = coupled_below_threshold(1.001e-12)
+    assert invariant_sets(form) == (tuple("abcdef"),)
+    assert len(ergodic_measures(form)) == 1
+
+
+def test_measures_run_no_global_eigendecomposition(monkeypatch):
+    import ergodec.forms
+
+    form = random_form(6, 40, 5)
+    sizes = spy(monkeypatch, np.linalg, "eigh", len)
+    times = spy(monkeypatch, ergodec.forms, "semigroup_from_eig", lambda eig, t: len(eig[0]))
+    ergodic_measures(form)
+    decompose_invariant_measure(form, form.space.mu)
+    assert sizes and max(sizes) < form.n
+    assert times and max(times) < form.n

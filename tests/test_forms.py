@@ -383,6 +383,117 @@ def test_certified_construction_skips_is_markovian(monkeypatch):
     assert len(calls) == 1
 
 
+# ------------------------------------------------- jump kernel from the matrix
+
+
+def stored_jump_kernel(q):
+    """The kernel a form stored when it kept one: -q off the diagonal, floored at 0."""
+    jump = np.negative(q)
+    np.maximum(jump, 0.0, out=jump)
+    np.fill_diagonal(jump, 0.0)
+    return jump
+
+
+def components_of_kernel(form, jump):
+    """Connected components of the kernel's graph above COMPONENT_THRESHOLD, by union-find."""
+    from ergodec.forms import COMPONENT_THRESHOLD
+
+    parent = list(range(form.n))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    jmax = float(jump.max())
+    if jmax > 0:
+        for x, y in np.argwhere(jump > COMPONENT_THRESHOLD * jmax):
+            parent[root(x)] = root(y)
+    blocks = {}
+    for x in range(form.n):
+        blocks.setdefault(root(x), []).append(form.space.points[x])
+    return tuple(tuple(b) for b in blocks.values())
+
+
+def assert_kernel_as_stored(form, symmetrized):
+    """jump and killing bitwise as stored before, where the kernel was read from ``q``."""
+    m = form.matrix
+    with np.errstate(over="ignore"):
+        q = 0.5 * (m + m.T) if symmetrized else m
+    assert bits(form.jump) == bits(stored_jump_kernel(q))
+    assert bits(form.killing) == bits(np.maximum(q.sum(axis=1), 0.0))
+    assert not form.jump.flags.writeable and form.jump is form.jump
+    with np.errstate(all="ignore"):
+        assert invariant_sets(form) == components_of_kernel(form, form.jump)
+
+
+wide_weights = st.one_of(weights, st.floats(1e307, 1.7e308))
+
+
+@st.composite
+def construction_inputs(draw):
+    n = draw(st.integers(1, 5))
+    jump = np.array(draw(st.lists(wide_weights, min_size=n * n, max_size=n * n))).reshape(n, n)
+    killing = draw(st.none() | st.lists(wide_weights, min_size=n, max_size=n))
+    # Where to flip the sign of a zero, and where to move an entry by one ulp.
+    flips = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))).reshape(n, n)
+    nudges = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))).reshape(n, n)
+    return validate_space([(f"p{i}", 1.0) for i in range(n)]), jump, killing, flips, nudges
+
+
+@settings(max_examples=300, deadline=None)
+@given(construction_inputs())
+def test_jump_is_the_stored_kernel_on_every_construction_path(inputs):
+    from ergodec import decompose
+
+    space, jump, killing, flips, nudges = inputs
+    killing_array = np.zeros(space.n) if killing is None else np.array(killing)
+    with np.errstate(all="ignore"):
+        sym = 0.5 * (jump + jump.T)
+        np.fill_diagonal(sym, 0.0)
+        certified = ((sym >= 0).all() and (killing_array >= 0).all()
+                     and np.isfinite(sym.sum(axis=1) + killing_array).all())
+    try:
+        with np.errstate(all="ignore"):
+            form = DirichletForm.from_jump_kernel(space, jump, killing)
+    except ValueError:
+        return
+    assert_kernel_as_stored(form, symmetrized=not certified)
+
+    with np.errstate(all="ignore"):
+        fibers = decompose(form).fibers
+    for fiber in fibers:
+        assert_kernel_as_stored(fiber, symmetrized=False)
+
+    # The constructor, given a matrix symmetric only within tolerance: signed
+    # zeros and one-ulp moves make it asymmetric bit for bit.
+    a = np.array(form.matrix)
+    a[flips & (a == 0)] *= -1.0
+    a[nudges] = np.nextafter(a[nudges], np.inf)
+    for build in (DirichletForm, DirichletForm.from_matrix):
+        try:
+            with np.errstate(all="ignore"):
+                built = build(space, a)
+        except ValueError:
+            continue
+        assert_kernel_as_stored(built, symmetrized=True)
+
+
+@pytest.mark.parametrize("a", [
+    [[1.0, -1.0, -0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0]],
+    [[1.0, -1.0, 0.0], [np.nextafter(-1.0, 0.0), 1.0, 0.0], [0.0, 0.0, 0.0]],
+], ids=["signed-zero", "one-ulp"])
+def test_constructor_reads_the_kernel_from_the_symmetrization(a):
+    # A matrix symmetric within tolerance only, but not bit for bit.
+    space = validate_space([("a", 1.0), ("b", 1.0), ("c", 1.0)])
+    a = np.array(a)
+    form = DirichletForm(space, a)
+    assert bits(form.matrix) == bits(a)
+    assert_kernel_as_stored(form, symmetrized=True)
+    if not np.array_equal(a, a.T):
+        assert bits(form.jump) != bits(stored_jump_kernel(a))
+
+
 def test_symmetrized_matrix_equals_out_of_place_quotient(monkeypatch):
     from ergodec._linalg import symmetrized_eig
 
@@ -828,3 +939,21 @@ def test_classification_disagreement_is_typed():
         assert isinstance(info.value, ErgodecError)
         assert info.value.defects["killing"] == pytest.approx(1e-11)
         assert set(info.value.defects) == {"mass_defect", "energy_floor", "killing"}
+
+
+@pytest.mark.parametrize("entries", [
+    [[-0.0, -0.0], [-0.0, -0.0]],
+    [[0.0, 0.0], [0.0, 0.0]],
+    [[0.0, -0.0], [-0.0, 0.0]],
+    [[1.0, np.nan], [np.nan, 2.0]],
+    [[1.0, -np.nan], [-np.nan, 2.0]],
+    [[np.inf, -1.0], [-1.0, 3.0]],
+    [[-np.inf, 1.0], [1.0, 3.0]],
+    [[np.nan, np.inf], [-np.inf, 0.0]],
+    [[-3.0, 2.5], [2.5, 1.0]],
+])
+def test_matrix_scale_is_one_plus_abs_max_bit_for_bit(entries):
+    from ergodec.forms import _matrix_scale
+
+    matrix = np.array(entries)
+    assert bits(np.float64(_matrix_scale(matrix))) == bits(np.float64(1.0 + float(np.abs(matrix).max())))

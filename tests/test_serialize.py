@@ -123,7 +123,7 @@ def test_edge_list_matches_naive_loop(seed, tuple_labels):
         obj["edges"] = [[labels[x], labels[y], w] for x, y, w in obj["edges"]]
     form = form_from_json(json.loads(json.dumps(obj)))
     expected = naive_edge_list(form.space.points, form.jump)
-    edges = _edge_list(form.space.points, form.jump)
+    edges = _edge_list(form.space.points, form.matrix)
     assert repr(edges) == repr(expected)
     assert json.dumps(edges) == json.dumps(expected)
     assert form_to_json(form)["edges"] == expected

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from ergodec import (
     NonFiniteError,
     NonPositiveWeightError,
     NotAPartitionError,
+    NotPushforwardError,
+    QuotientMap,
     disintegrate_over_partition,
     is_separated,
     quotient_by_invariant_partition,
@@ -195,3 +199,25 @@ def test_quotient_layout_matches_blocks(fx_grid):
         assert tuple(fx_grid.space.points[i] for i in idx) == qmap.blocks[z]
         assert qmap.block_indices(z) is idx
         assert not idx.flags.writeable
+
+
+@pytest.mark.parametrize("assignment, nu, error, message", [
+    ({"a": "x", "b": "w"}, [1.0, 1.0], NotAPartitionError, "'b' is assigned to 'w', which is not an index label"),
+    ({"a": "x", "b": ["x"]}, [1.0, 1.0], NotAPartitionError, "which is not an index label"),
+    ({"a": "x", "b": "x"}, [2.0, 1.0], NotAPartitionError, "index label 'y' has no points"),
+    ({"a": "x", "b": "x"}, [5.0], NotPushforwardError, "index weight 5.0 of 'x' is not the mass 2.0"),
+])
+def test_quotient_map_rejects_what_is_no_pushforward(assignment, nu, error, message):
+    space = validate_space([("a", 1.0), ("b", 1.0)])
+    labels = ("x", "y")[:len(nu)]
+    with pytest.raises(error, match=re.escape(message)):
+        QuotientMap(space, assignment, IndexSpace(labels, nu))
+
+
+def test_quotient_map_accepts_block_mass_within_relative_tolerance():
+    space = validate_space([("a", 0.1), ("b", 0.2), ("c", 3.0)])
+    mass = 0.1 + 0.2  # not the sum numpy takes, but within roundoff of it
+    qmap = QuotientMap(space, {"a": "x", "b": "x", "c": "y"}, IndexSpace(("x", "y"), [mass, 3.0]))
+    assert qmap.blocks == {"x": ("a", "b"), "y": ("c",)}
+    with pytest.raises(NotPushforwardError):
+        QuotientMap(space, {"a": "x", "b": "x", "c": "y"}, IndexSpace(("x", "y"), [mass * (1 + 1e-11), 3.0]))
