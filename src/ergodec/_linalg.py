@@ -37,13 +37,50 @@ def symmetrized_eig(matrix: np.ndarray, mu: np.ndarray):
     return np.clip(w, 0.0, None), v, sqrt_mu
 
 
+#: Semigroup weights exp(-t w) below this are set to zero.
+_WEIGHT_FLUSH = 1e-150
+
+
+def _semigroup_weights(w: np.ndarray, t: float) -> np.ndarray:
+    """exp(-t w), with the weights below ``_WEIGHT_FLUSH`` set to zero."""
+    e = np.exp(-t * w)
+    e[e < _WEIGHT_FLUSH] = 0.0
+    return e
+
+
 def semigroup_from_eig(eig, t: float) -> np.ndarray:
-    """e^{tL} from the symmetrized eigendecomposition of -L."""
+    """e^{tL} from the symmetrized eigendecomposition of -L.
+
+    The weights exp(-t w) below 1e-150 are set to zero, so the product never
+    runs on subnormal numbers.  V is orthonormal, so by Cauchy-Schwarz this
+    moves each entry (x, y) of e^{tL} by at most
+    1e-150 * sqrt(mu(y) / mu(x)) <= 1e-150 * sqrt(max mu / min mu).  Next to
+    a kept weight of order one, such as the weight 1 of the constants of a
+    form without killing, that is far below roundoff unless mu spans
+    hundreds of orders of magnitude.  A printed residual can move when every
+    weight of a block is flushed, that is t times its smallest eigenvalue
+    passes 345: the block is then 0 where its entries were below 1e-150.
+    """
     w, v, sqrt_mu = eig
-    core = (v * np.exp(-t * w)) @ v.T
+    core = (v * _semigroup_weights(w, t)) @ v.T
     core /= sqrt_mu[:, None]
     core *= sqrt_mu[None, :]
     return core
+
+
+def semigroup_action(eig, t: float, x: np.ndarray, *, transpose: bool = False) -> np.ndarray:
+    """e^{tL} x, or (e^{tL})^T x, from the symmetrized eigendecomposition of -L.
+
+    e^{tL} = D^{-1/2} V diag(e) V^T D^{1/2} with the weights e of
+    :func:`semigroup_from_eig`, so the action is V (e * V^T (sqrt_mu x)) /
+    sqrt_mu, and the transpose swaps the two scalings: two matrix-vector
+    products and no n x n temporary.
+    """
+    w, v, sqrt_mu = eig
+    e = _semigroup_weights(w, t)
+    if transpose:
+        return (v @ (e * (v.T @ (x / sqrt_mu)))) * sqrt_mu
+    return (v @ (e * (v.T @ (x * sqrt_mu)))) / sqrt_mu
 
 
 def resolvent_from_eig(eig, alpha: float) -> np.ndarray:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
+from itertools import chain, islice
 
 import numpy as np
 
@@ -33,6 +35,9 @@ from .serialize import (
 )
 
 _COMMANDS = ("decompose", "classify", "verify", "girsanov", "superpose", "measures", "gen")
+
+#: Chunks of a report joined into one write.
+_EMIT_BATCH = 4096
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,26 +93,25 @@ def _parse_phi(arg, n, seed):
     return values
 
 
-def _render_text(obj, indent=0) -> list:
-    lines = []
+def _render_text(obj, indent=0):
+    """Yield the lines of the text report, without their newlines."""
     pad = "  " * indent
     if isinstance(obj, dict):
         for key, value in obj.items():
             if isinstance(value, (dict, list)):
-                lines.append(f"{pad}{key}:")
-                lines.extend(_render_text(value, indent + 1))
+                yield f"{pad}{key}:"
+                yield from _render_text(value, indent + 1)
             else:
-                lines.append(f"{pad}{key}: {_scalar_text(value)}")
+                yield f"{pad}{key}: {_scalar_text(value)}"
     elif isinstance(obj, list):
         for value in obj:
             if isinstance(value, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.extend(_render_text(value, indent + 1))
+                yield f"{pad}-"
+                yield from _render_text(value, indent + 1)
             else:
-                lines.append(f"{pad}- {_scalar_text(value)}")
+                yield f"{pad}- {_scalar_text(value)}"
     else:
-        lines.append(f"{pad}{_scalar_text(obj)}")
-    return lines
+        yield f"{pad}{_scalar_text(obj)}"
 
 
 def _scalar_text(value) -> str:
@@ -117,15 +121,19 @@ def _scalar_text(value) -> str:
 
 
 def _emit(report: dict, args) -> None:
+    """Write the report, ``json.dumps(report, indent=2)`` or its text lines, and a newline.
+
+    The chunks are written in batches of ``_EMIT_BATCH``, so neither the
+    whole list of chunks nor the whole payload is ever held, and an
+    unbuffered stdout still sees few writes.
+    """
     if args.format == "json":
-        payload = json.dumps(report, indent=2) + "\n"
+        chunks = chain(json.JSONEncoder(indent=2).iterencode(report), ("\n",))
     else:
-        payload = "\n".join(_render_text(report)) + "\n"
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(payload)
-    else:
-        sys.stdout.write(payload)
+        chunks = (line + "\n" for line in _render_text(report))
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as handle:
+        for batch in iter(lambda: list(islice(chunks, _EMIT_BATCH)), []):
+            handle.write("".join(batch))
 
 
 def _cmd_decompose(args) -> int:

@@ -17,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._linalg import _assemble_blocks
+from ._linalg import _assemble_blocks, semigroup_action
 from .direct_integral import assemble_l2
 from .errors import ConsistencyError, NotInvariantError, PartitionMismatchError
 from .forms import (
@@ -45,12 +45,6 @@ def _max_abs_difference(out: np.ndarray, other: np.ndarray) -> float:
     """max |out - other|, computed in the buffer ``out``."""
     out -= other
     return float(np.abs(out, out=out).max())
-
-
-def _frobenius_difference(out: np.ndarray, other: np.ndarray) -> float:
-    """The Frobenius norm of ``out - other``, computed in the buffer ``out``."""
-    out -= other
-    return float(np.linalg.norm(out, "fro"))
 
 
 def _generator_defect(form: DirichletForm, idx: np.ndarray, fiber: DirichletForm) -> float:
@@ -202,25 +196,29 @@ def verify_decomposition(
     the isometry of the diagonal embedding on random vectors, and that each
     fiber is irreducible.  Passes when every residual is at or below the
     tolerance.
+
+    Every eigendecomposition is taken before the first n x n product, and
+    each global product is released before the next one is built: the
+    fiber blocks are subtracted from it in place, which off the blocks
+    leaves its entries as they are, bit for bit.
     """
     form = dec.form
     n = form.n
     form_defect = dec.residuals["form_reassembly"] / _matrix_scale(form.matrix)
 
-    # One buffer serves every parameter: each pass rewrites all the blocks
-    # and the entries off the blocks stay zero.
+    for f in (form, *dec.fibers):
+        f._eig  # cached on the form for the products below
     layout = dec.quotient._layout
-    assembled = np.zeros((n, n))
 
-    semi_defects = {}
-    for t in times:
-        _assemble_blocks(assembled, layout, (semigroup(fiber, t) for fiber in dec.fibers))
-        semi_defects[t] = _frobenius_difference(semigroup(form, t), assembled)
+    def splitting_defect(operator, parameter) -> float:
+        """The Frobenius norm of the global operator minus its fiber blocks."""
+        out = operator(form, parameter)
+        for idx, fiber in zip(layout, dec.fibers):
+            out[np.ix_(idx, idx)] -= operator(fiber, parameter)
+        return float(np.linalg.norm(out, "fro"))
 
-    res_defects = {}
-    for a in alphas:
-        _assemble_blocks(assembled, layout, (resolvent(fiber, a) for fiber in dec.fibers))
-        res_defects[a] = _frobenius_difference(resolvent(form, a), assembled)
+    semi_defects = {t: splitting_defect(semigroup, t) for t in times}
+    res_defects = {a: splitting_defect(resolvent, a) for a in alphas}
 
     rng = np.random.default_rng(0) if rng is None else rng
     normalized = dec.quotient.space
@@ -446,38 +444,38 @@ def ergodic_measures(form: DirichletForm, *, tol: float = 1e-10) -> tuple:
 
     The work runs component by component on the fibers of
     :func:`decompose`: the semigroup is the direct sum of the fiber
-    semigroups, so each component needs only its own eigendecomposition
-    and time-one block.
+    semigroups, so each component needs only its own eigendecomposition,
+    from which T_1 is applied to vectors.
     """
     dec = decompose(form)
-    return _ergodic_measures(dec, _time_one_blocks(dec), tol)
+    return _ergodic_measures(dec, tol)
 
 
-def _time_one_blocks(dec: ErgodicDecomposition) -> tuple:
-    """The time-one semigroup of each fiber: the diagonal blocks of the global T_1."""
-    return tuple(semigroup(fiber, 1.0) for fiber in dec.fibers)
+def _time_one_transpose(fiber: DirichletForm, x: np.ndarray) -> np.ndarray:
+    """T_1^T x on one fiber, applied from the fiber's eigendecomposition."""
+    return semigroup_action(fiber._eig, 1.0, x, transpose=True)
 
 
-def _ergodic_measures(dec: ErgodicDecomposition, t1_blocks, tol: float = 1e-10) -> tuple:
-    """:func:`ergodic_measures` of ``dec.form``, given the time-one blocks of its fibers.
+def _ergodic_measures(dec: ErgodicDecomposition, tol: float = 1e-10) -> tuple:
+    """:func:`ergodic_measures` of ``dec.form``, from the time-one actions of its fibers.
 
     The components are classified against the scale of the global form,
-    as :func:`~ergodec.forms.classify` does, with the mass of each block
-    T_1 in place of the rows of the global T_1.
+    as :func:`~ergodec.forms.classify` does, with the mass T_1 1 of each
+    fiber in place of the rows of the global T_1.
     """
     form, layout = dec.form, dec.quotient._layout
     t1_mass = np.empty(form.n)
-    for idx, t1 in zip(layout, t1_blocks):
-        t1_mass[idx] = t1 @ np.ones(len(idx))
+    for idx, fiber in zip(layout, dec.fibers):
+        t1_mass[idx] = semigroup_action(fiber._eig, 1.0, np.ones(len(idx)))
     blocks = tuple(dec.quotient.blocks[z] for z in dec.labels)
     classes = _classify(form, blocks, t1_mass).per_component.values()
     out = []
-    for idx, t1, comp in zip(layout, t1_blocks, classes):
+    for idx, fiber, comp in zip(layout, dec.fibers, classes):
         if comp.transient:
             continue
         weights = np.zeros(form.n)
         weights[idx] = form.space.mu[idx] / form.space.mu[idx].sum()
-        defect = float(np.abs(t1.T @ weights[idx] - weights[idx]).max())
+        defect = float(np.abs(_time_one_transpose(fiber, weights[idx]) - weights[idx]).max())
         if defect > tol:
             raise ConsistencyError(
                 f"stationarity check failed on component {comp.points}", {"stationarity": defect}
@@ -529,10 +527,9 @@ def decompose_invariant_measure(
     if np.any(eta < 0):
         raise ValueError("measure weights must be nonnegative")
     dec = decompose(form)
-    t1_blocks = _time_one_blocks(dec)
-    measures = _ergodic_measures(dec, t1_blocks)
-    defect = _worst(float(np.abs(t1.T @ eta[idx] - eta[idx]).max())
-                    for idx, t1 in zip(dec.quotient._layout, t1_blocks))
+    measures = _ergodic_measures(dec)
+    defect = _worst(float(np.abs(_time_one_transpose(fiber, eta[idx]) - eta[idx]).max())
+                    for idx, fiber in zip(dec.quotient._layout, dec.fibers))
     if defect > tol * max(1.0, float(eta.max(initial=0.0))):
         raise NotInvariantError(defect)
 

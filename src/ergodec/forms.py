@@ -22,6 +22,7 @@ import numpy as np
 
 from ._linalg import (
     resolvent_from_eig,
+    semigroup_action,
     semigroup_from_eig,
     symmetrized_eig,
 )
@@ -580,9 +581,10 @@ def classify(form: DirichletForm, *, tol: float = 1e-10) -> Classification:
     conservativeness, the smallest restricted eigenvalue for transience.
     Global flags are the conjunction over the components, and the space
     splits as the union of recurrent blocks plus the union of transient
-    blocks, with nothing left over.
+    blocks, with nothing left over.  The masses T_1 1 come from applying
+    T_1 to the constants; no n x n T_1 is built.
     """
-    t1_mass = semigroup(form, 1.0) @ np.ones(form.n)
+    t1_mass = semigroup_action(form._eig, 1.0, np.ones(form.n))
     return _classify(form, invariant_sets(form), t1_mass, tol)
 
 

@@ -152,6 +152,32 @@ def spy(monkeypatch, module, name, record):
     return calls
 
 
+def spy_actions(monkeypatch):
+    """Record ``(size, t, transpose)`` of every semigroup action ``forms`` and ``ergodic`` apply."""
+    import ergodec.ergodic
+    import ergodec.forms
+    from ergodec._linalg import semigroup_action
+
+    calls = []
+
+    def wrapper(eig, t, x, *, transpose=False):
+        calls.append((len(eig[0]), t, transpose))
+        return semigroup_action(eig, t, x, transpose=transpose)
+
+    for module in (ergodec.ergodic, ergodec.forms):
+        monkeypatch.setattr(module, "semigroup_action", wrapper)
+    return calls
+
+
+def unflushed_semigroup_from_eig(eig, t):
+    """e^{tL} from the eigendecomposition with every weight exp(-t w) kept."""
+    w, v, sqrt_mu = eig
+    core = (v * np.exp(-t * w)) @ v.T
+    core /= sqrt_mu[:, None]
+    core *= sqrt_mu[None, :]
+    return core
+
+
 def validated_jump_kernel_form(space, jump, killing=None):
     """``DirichletForm.from_jump_kernel`` through the validating constructor."""
     jump = np.asarray(jump, dtype=float)

@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -256,19 +257,79 @@ def test_measures_builds_time_one_semigroup_once_per_fiber(tmp_path, monkeypatch
 
     from ergodec import random_form
 
+    from conftest import spy_actions
+
     form = random_form(2, 30, 4)
     assert form.killing_free
     path = write_form(tmp_path, form)
-    times = spy(monkeypatch, ergodec.forms, "semigroup_from_eig", lambda eig, t: (len(eig[0]), t))
+    blocks = sorted(len(idx) for idx in decompose(form).quotient._layout)
+    products = spy(monkeypatch, ergodec.forms, "semigroup_from_eig", lambda eig, t: len(eig[0]))
+    actions = spy_actions(monkeypatch)
     eigh = spy(monkeypatch, np.linalg, "eigh", len)
     eigvalsh = spy(monkeypatch, np.linalg, "eigvalsh", len)
     assert main(["measures", "--input", path]) == 0
-    # One time-one block per component, and no n-sized eigendecomposition.
-    assert sorted(times) == sorted((len(b), 1.0) for b in decompose(form).quotient._layout)
-    assert sum(n for n, _ in times) == form.n
-    assert sorted(eigh) == sorted(n for n, _ in times)
+    # T_1 applied to the constants once per component, its transpose for the
+    # stationarity and the invariance checks; no T_1 matrix is built, and
+    # nothing is n-sized.
+    assert sorted(n for n, t, transpose in actions if not transpose) == blocks
+    assert sorted(n for n, t, transpose in actions if transpose) == sorted(blocks * 2)
+    assert {t for _, t, _ in actions} == {1.0}
+    assert sum(blocks) == form.n and max(blocks) < form.n
+    assert products == []
+    assert sorted(eigh) == blocks
     assert max(eigvalsh) < form.n
     assert json.loads(capsys.readouterr().out)["mu_mixture"] is not None
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_emit_streams_the_report_in_batches(tmp_path, monkeypatch, capsys, fmt, to_file):
+    # A decompose report at n=200 spans more than one batch of chunks.  It is
+    # written in a bounded number of batches, and its bytes are those of the
+    # whole report rendered at once.
+    import ergodec.cli as cli
+
+    from ergodec import classification_decomposition, random_form
+    from ergodec.serialize import decomposition_report
+
+    path = write_form(tmp_path, random_form(1, 200, 1, 0.0, 0.05))
+    with open(path) as handle:
+        dec = decompose(form_from_json(json.load(handle)))
+    report = decomposition_report(
+        dec, verify_decomposition(dec), classification_decomposition(dec).per_fiber
+    )
+    if fmt == "json":
+        expected = json.dumps(report, indent=2) + "\n"
+        chunks = sum(1 for _ in json.JSONEncoder(indent=2).iterencode(report)) + 1
+    else:
+        expected = "\n".join(cli._render_text(report)) + "\n"
+        chunks = expected.count("\n")
+    assert chunks > cli._EMIT_BATCH
+
+    writes = []
+
+    def recording(handle):
+        write = handle.write
+
+        def recorded(text):
+            writes.append(len(text))
+            return write(text)
+
+        handle.write = recorded
+        return handle
+
+    argv = ["decompose", "--input", path, "--format", fmt]
+    out = tmp_path / "report.out"
+    if to_file:
+        monkeypatch.setattr(cli, "open", lambda *a: recording(open(*a)), raising=False)
+        argv += ["--out", str(out)]
+    else:
+        monkeypatch.setattr(sys, "stdout", recording(io.StringIO()))
+    assert main(argv) == 0
+    written = out.read_text() if to_file else sys.stdout.getvalue()
+    assert written == expected
+    assert sum(writes) == len(expected)
+    assert 2 <= len(writes) <= chunks // cli._EMIT_BATCH + 1
 
 
 @pytest.mark.parametrize("command", ["decompose", "classify", "measures"])

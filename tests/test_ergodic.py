@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergodec import (
     DirichletForm,
@@ -475,6 +479,62 @@ def test_verify_residuals_equal_out_of_place_reference(form):
         assert same_bits(report.resolvent_defects[a], res[a]), a
 
 
+def scaled_jump_form(seed, n, components, killing_prob, jump_scale):
+    """A ``random_form`` with its jump kernel scaled; the killing is kept.
+
+    Scaling the jumps raises the largest eigenvalue of -L.  The killing is at
+    most 2 and mu at least 0.1, so t times the smallest eigenvalue of every
+    block stays below 200 at t=10, and each block keeps a weight above 1e-150.
+    """
+    base = random_form(seed, n, components, killing_prob=killing_prob)
+    return DirichletForm.from_jump_kernel(base.space, jump_scale * base.jump, base.killing)
+
+
+def assert_weight_flush_changes_no_bits(form):
+    import ergodec.forms
+    from conftest import unflushed_semigroup_from_eig
+    from ergodec.forms import semigroup
+
+    times = (0.1, 1.0, 10.0)
+    dec = decompose(form)
+    flushed = verify_decomposition(dec, times=times)
+    flushed_semigroups = [semigroup(form, t) for t in times]
+    with mock.patch.object(ergodec.forms, "semigroup_from_eig", unflushed_semigroup_from_eig):
+        unflushed = verify_decomposition(dec, times=times)
+        unflushed_semigroups = [semigroup(form, t) for t in times]
+    for name in ("form_defect", "isometry_defect"):
+        assert same_bits(getattr(flushed, name), getattr(unflushed, name)), name
+    for key in times:
+        assert same_bits(flushed.semigroup_defects[key], unflushed.semigroup_defects[key]), key
+    for key in flushed.resolvent_defects:
+        assert same_bits(flushed.resolvent_defects[key], unflushed.resolvent_defects[key]), key
+    assert flushed.passed == unflushed.passed
+    for a, b in zip(flushed_semigroups, unflushed_semigroups, strict=True):
+        assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 30),
+    st.integers(1, 5),
+    st.sampled_from([0.0, 0.3]),
+    st.sampled_from([0.01, 1.0, 100.0, 1e4]),
+)
+def test_semigroup_weight_flush_changes_no_bits(seed, n, components, killing_prob, jump_scale):
+    form = scaled_jump_form(seed, n, min(components, n), killing_prob, jump_scale)
+    assert_weight_flush_changes_no_bits(form)
+
+
+@pytest.mark.parametrize("jump_scale, low, high", [(1.0, 345.0, 708.0), (100.0, 708.0, np.inf)])
+def test_semigroup_weight_flush_past_both_thresholds(jump_scale, low, high):
+    # At t=10 the largest eigenvalue passes the flush threshold (345), and
+    # then the exponent range (708), where exp(-t w) is subnormal or zero.
+    form = scaled_jump_form(3, 24, 3, 0.3, jump_scale)
+    assert low < 10.0 * form.spectrum[-1] < high
+    assert_weight_flush_changes_no_bits(form)
+
+
 def test_weighted_reassembly_matches_naive_sum():
     from conftest import naive_block_sum
 
@@ -530,13 +590,65 @@ def test_verify_reads_the_decompose_reassembly(monkeypatch):
 
 @pytest.mark.parametrize("form", multi_block_forms())
 def test_blockwise_time_one_equals_dense(form):
-    from ergodec.ergodic import _assemble_blocks, _time_one_blocks
+    # T_1 x and T_1^T x, applied fiber by fiber and on the whole form,
+    # against the dense T_1.
+    from ergodec._linalg import semigroup_action
     from ergodec.forms import _matrix_scale, semigroup
 
     dec = decompose(form)
-    blockwise = _assemble_blocks(np.zeros((form.n, form.n)), dec.quotient._layout, _time_one_blocks(dec))
     dense = semigroup(form, 1.0)
-    assert np.abs(blockwise - dense).max() <= 1e-12 * _matrix_scale(form.matrix)
+    bound = 1e-12 * _matrix_scale(form.matrix)
+    x = np.random.default_rng(form.n).uniform(-1.0, 1.0, size=form.n)
+    for transpose, expected in ((False, dense @ x), (True, dense.T @ x)):
+        blockwise = np.empty(form.n)
+        for idx, fiber in zip(dec.quotient._layout, dec.fibers):
+            blockwise[idx] = semigroup_action(fiber._eig, 1.0, x[idx], transpose=transpose)
+        whole = semigroup_action(form._eig, 1.0, x, transpose=transpose)
+        assert np.abs(blockwise - expected).max() <= bound
+        assert np.abs(whole - expected).max() <= bound
+
+
+def benchmark_pool_forms(name, components, killing_prob, density):
+    """The six n=500 instances of a benchmark form workload at seed 1, as its set-up draws them."""
+    import zlib
+
+    seeds = np.random.SeedSequence([1, zlib.crc32(name.encode())]).generate_state(6)
+    return [random_form(int(s), 500, components, killing_prob, density) for s in seeds]
+
+
+# (instances, recurrent components of each); the golden instances are those
+# of tests/test_golden.py.
+CLASSIFY_VERDICTS = {
+    "single-block": (lambda: benchmark_pool_forms("single-block", 1, 0.0, 0.05), [1] * 6),
+    "many-blocks": (
+        lambda: benchmark_pool_forms("many-blocks", 125, 0.1, 0.5), [77, 89, 83, 87, 87, 83]
+    ),
+    "golden": (lambda: [random_form(1, 30, 4, 0.3, 0.5), random_form(2, 25, 1, 0.0, 0.5)], [0, 1]),
+}
+
+
+@pytest.mark.parametrize("instances", sorted(CLASSIFY_VERDICTS))
+def test_classify_verdicts_are_pinned(instances):
+    # classify applies T_1 to the constants; the row sums of the dense T_1
+    # are the reference.  The verdicts agree, and every mass defect is far
+    # from the tolerance 1e-10 on either side.
+    from ergodec.forms import _classify, semigroup
+
+    make, recurrent = CLASSIFY_VERDICTS[instances]
+    forms = make()
+    counts = []
+    for form in forms:
+        applied = classify(form).per_component.values()
+        dense_mass = semigroup(form, 1.0) @ np.ones(form.n)
+        dense = _classify(form, invariant_sets(form), dense_mass).per_component.values()
+        for a, b in zip(applied, dense, strict=True):
+            assert (a.points, a.conservative, a.transient, a.recurrent) == (
+                b.points, b.conservative, b.transient, b.recurrent
+            )
+            assert abs(a.mass_defect - b.mass_defect) <= 1e-13
+            assert a.mass_defect <= 1e-12 if a.conservative else a.mass_defect >= 1e-2
+        counts.append(sum(c.recurrent for c in applied))
+    assert counts == recurrent
 
 
 def coupled_below_threshold(fraction):
@@ -587,10 +699,41 @@ def test_coupling_at_component_threshold_joins_the_blocks():
 def test_measures_run_no_global_eigendecomposition(monkeypatch):
     import ergodec.forms
 
+    from conftest import spy_actions
+
     form = random_form(6, 40, 5)
+    blocks = sorted(len(idx) for idx in decompose(form).quotient._layout)
     sizes = spy(monkeypatch, np.linalg, "eigh", len)
-    times = spy(monkeypatch, ergodec.forms, "semigroup_from_eig", lambda eig, t: len(eig[0]))
+    products = spy(monkeypatch, ergodec.forms, "semigroup_from_eig", lambda eig, t: len(eig[0]))
+    actions = spy_actions(monkeypatch)
     ergodic_measures(form)
+    # One mass action T_1 1 and one stationarity action T_1^T per fiber.
+    assert sorted(n for n, t, transpose in actions if not transpose) == blocks
+    assert sorted(n for n, t, transpose in actions if transpose) == blocks
+    actions.clear()
     decompose_invariant_measure(form, form.space.mu)
+    # ... and one invariance action T_1^T per fiber.
+    assert sorted(n for n, t, transpose in actions if not transpose) == blocks
+    assert sorted(n for n, t, transpose in actions if transpose) == sorted(blocks * 2)
+    assert {t for _, t, _ in actions} == {1.0}
     assert sizes and max(sizes) < form.n
-    assert times and max(times) < form.n
+    assert products == []
+
+
+@pytest.mark.parametrize("killing_prob", [0.0, 0.3])
+def test_classify_builds_no_time_one_matrix(monkeypatch, killing_prob):
+    import ergodec.forms
+
+    from conftest import spy_actions
+
+    form = random_form(8, 40, 5, killing_prob=killing_prob)
+    dec = decompose(form)
+    products = spy(monkeypatch, ergodec.forms, "semigroup_from_eig", lambda eig, t: len(eig[0]))
+    actions = spy_actions(monkeypatch)
+    classify(form)
+    assert actions == [(form.n, 1.0, False)]
+    actions.clear()
+    assert classification_decomposition(dec).consistent
+    fibers = sorted(len(idx) for idx in dec.quotient._layout)
+    assert sorted(actions) == sorted([(form.n, 1.0, False)] + [(n, 1.0, False) for n in fibers])
+    assert products == []

@@ -3,9 +3,10 @@
 The reports print eigenvalues and residuals, whose last bits depend on the
 numpy build and the BLAS kernels it picks, so the digests hold for the
 build they were taken with (numpy 2.4.6 on x86_64) and the test skips on
-any other.  CI installs the latest numpy, so once that moves past 2.4.6 this
-test skips there and guards the bytes only where numpy 2.4.6 is installed;
-run it on such a build before changing a report.  The digests were taken from the reports as they were before
+any other.  The Python 3.11 CI job pins numpy 2.4.6, so the test runs
+there; the 3.10 job installs the latest numpy, which numpy 2.4 does not
+support, and skips it.  Run it on such a build before changing a report.
+The digests were taken from the reports as they were before
 forms kept a single n x n array and ``measures`` ran per component; those
 changes must not move a byte.
 """
