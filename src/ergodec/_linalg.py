@@ -12,6 +12,19 @@ from __future__ import annotations
 import numpy as np
 
 
+def _block(idx: np.ndarray):
+    """The index of the square block of an n x n matrix at positions ``idx``.
+
+    A contiguous run of positions gives ``(slice, slice)``, whose reads are
+    views and whose in-place writes touch the matrix directly; any other
+    positions give ``np.ix_(idx, idx)``, whose reads are copies.
+    """
+    if len(idx) and idx[-1] - idx[0] == len(idx) - 1 and (np.diff(idx) == 1).all():
+        run = slice(int(idx[0]), int(idx[-1]) + 1)
+        return run, run
+    return np.ix_(idx, idx)
+
+
 def _assemble_blocks(out: np.ndarray, layout, blocks) -> np.ndarray:
     """Write each block at its layout positions of ``out``, in place.
 
@@ -20,7 +33,7 @@ def _assemble_blocks(out: np.ndarray, layout, blocks) -> np.ndarray:
     blocks over the same layout.
     """
     for idx, block in zip(layout, blocks):
-        out[np.ix_(idx, idx)] = block
+        out[_block(idx)] = block
     return out
 
 

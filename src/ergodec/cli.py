@@ -12,10 +12,11 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
+from ._jsonenc import iterencode
 from .direct_integral import superpose
 from .ergodic import (
     classification_decomposition,
@@ -28,6 +29,7 @@ from .errors import ConsistencyError, ErgodecError, NotMarkovianError
 from .forms import carre_du_champ, classify, girsanov_transform
 from .generate import random_form
 from .serialize import (
+    _edge_list,
     classification_to_json,
     decomposition_report,
     form_from_json,
@@ -36,8 +38,8 @@ from .serialize import (
 
 _COMMANDS = ("decompose", "classify", "verify", "girsanov", "superpose", "measures", "gen")
 
-#: Chunks of a report joined into one write.
-_EMIT_BATCH = 4096
+#: Characters of a report per write: bytes, for the ASCII JSON reports.
+_EMIT_BATCH = 1 << 16
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,6 +79,10 @@ def _load_form(path):
             obj = json.load(handle)
     except FileNotFoundError:
         raise ErgodecError(f"no such file: {path}")
+    except OSError as exc:
+        raise ErgodecError(f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise ErgodecError(f"cannot read {path}: not {exc.encoding} text")
     except json.JSONDecodeError as exc:
         raise ErgodecError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     return form_from_json(obj)
@@ -120,20 +126,43 @@ def _scalar_text(value) -> str:
     return f"{value:.12g}"
 
 
+def _batches(pieces, size: int):
+    """The text of ``pieces`` cut into strings of ``size`` characters, the last one shorter."""
+    pending, held = [], 0
+    for piece in pieces:
+        pending.append(piece)
+        held += len(piece)
+        if held >= size:
+            text = "".join(pending)
+            cut = len(text) - len(text) % size
+            for start in range(0, cut, size):
+                yield text[start:start + size]
+            pending, held = [text[cut:]], len(text) - cut
+    if held:
+        yield "".join(pending)
+
+
 def _emit(report: dict, args) -> None:
     """Write the report, ``json.dumps(report, indent=2)`` or its text lines, and a newline.
 
-    The chunks are written in batches of ``_EMIT_BATCH``, so neither the
-    whole list of chunks nor the whole payload is ever held, and an
-    unbuffered stdout still sees few writes.
+    The text is written in batches of ``_EMIT_BATCH`` characters, so the
+    whole report is never held, and an unbuffered stdout still sees few
+    writes.  An output that cannot be opened or written is an
+    :class:`ErgodecError` naming it.
     """
     if args.format == "json":
-        chunks = chain(json.JSONEncoder(indent=2).iterencode(report), ("\n",))
+        pieces = chain(iterencode(report), ("\n",))
     else:
-        chunks = (line + "\n" for line in _render_text(report))
-    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as handle:
-        for batch in iter(lambda: list(islice(chunks, _EMIT_BATCH)), []):
-            handle.write("".join(batch))
+        pieces = (line + "\n" for line in _render_text(report))
+    target = args.out or "standard output"
+    try:
+        with open(args.out, "w") if args.out else nullcontext(sys.stdout) as handle:
+            for batch in _batches(pieces, _EMIT_BATCH):
+                handle.write(batch)
+    except OSError as exc:
+        raise ErgodecError(f"cannot write {target}: {exc.strerror or exc}")
+    except UnicodeEncodeError as exc:
+        raise ErgodecError(f"cannot write {target}: the report is not {exc.encoding} text")
 
 
 def _cmd_decompose(args) -> int:
@@ -162,7 +191,7 @@ def _cmd_classify(args) -> int:
             }
             for z, c in cls.per_component.items()
         },
-        "jump": form_to_json(form)["edges"],
+        "jump": _edge_list(form.space.points, form._symmetrized()),
         "killing": [float(k) for k in form.killing],
         "spectrum": [float(w) for w in form.spectrum],
     }

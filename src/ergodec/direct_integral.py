@@ -21,6 +21,7 @@ import numpy as np
 
 from ._linalg import (
     _assemble_blocks,
+    _block,
     chebyshev_coefficients,
     chebyshev_matrix,
     polynomial_matrix,
@@ -29,6 +30,7 @@ from ._linalg import (
     symmetrized_eig,
     weighted_operator_norm,
 )
+from ._stream import Seed0Stream
 from .errors import (
     FiberDimensionMismatchError,
     InvalidExponentError,
@@ -159,7 +161,10 @@ def assemble_lp(
 
     For random test vectors f the report compares ||f||_p on the ambient
     space with (sum_z nu(z) ||f_z||_p^p)^(1/p) over the fibers, and verifies
-    that the embedding commutes with the lattice operations exactly.
+    that the embedding commutes with the lattice operations exactly.  The
+    vectors are drawn from ``rng``, by default the stream of
+    ``numpy.random.default_rng(0)``, reproduced without importing
+    ``numpy.random``.
 
     Raises
     ------
@@ -171,7 +176,7 @@ def assemble_lp(
     if not separated:
         raise NotSeparatedError(witness=witness)
     embed = assemble_l2(space, family)
-    rng = np.random.default_rng(0) if rng is None else rng
+    rng = Seed0Stream() if rng is None else rng
 
     defect = 0.0
     lattice_exact = True
@@ -262,7 +267,7 @@ def decompose_operator(matrix, structure) -> DecomposableOperator:
         dspace = structure
         layout, weights = dspace._layout, dspace.stacked_weights
 
-    blocks = tuple(matrix[np.ix_(idx, idx)] for idx in layout)
+    blocks = tuple(matrix[_block(idx)].copy() for idx in layout)  # not views of the input
     block_part = _assemble_blocks(np.zeros_like(matrix), layout, blocks)
     off_norm = weighted_operator_norm(matrix - block_part, weights)
     if off_norm > _DECOMPOSABLE_RTOL * _matrix_scale(matrix):
@@ -447,6 +452,9 @@ def superpose(
     is a unitary lattice isomorphism between the superposition and the
     direct integral of the same fibers; the report carries the residual of
     that isomorphism on random vectors, measured through the graph norms.
+    The vectors are drawn from ``rng``, by default the stream of
+    ``numpy.random.default_rng(0)``, reproduced without importing
+    ``numpy.random``.
     """
     separated, witness = is_separated(family)
     if not separated:
@@ -459,7 +467,7 @@ def superpose(
         np.zeros((space.n, space.n)), embed._support_indices, weighted
     )
 
-    rng = np.random.default_rng(0) if rng is None else rng
+    rng = Seed0Stream() if rng is None else rng
     defect = 0.0
     for _ in range(trials):
         f = rng.uniform(-1.0, 1.0, size=space.n)

@@ -17,7 +17,8 @@ from typing import Mapping
 
 import numpy as np
 
-from ._linalg import _assemble_blocks, semigroup_action
+from ._linalg import _assemble_blocks, _block, semigroup_action
+from ._stream import Seed0Stream
 from .direct_integral import assemble_l2
 from .errors import ConsistencyError, NotInvariantError, PartitionMismatchError
 from .forms import (
@@ -49,8 +50,7 @@ def _max_abs_difference(out: np.ndarray, other: np.ndarray) -> float:
 
 def _generator_defect(form: DirichletForm, idx: np.ndarray, fiber: DirichletForm) -> float:
     """max |fiber.generator - form.generator[idx, idx]|, filling neither generator cache."""
-    block_generator = form.matrix[np.ix_(idx, idx)]
-    np.negative(block_generator, out=block_generator)
+    block_generator = np.negative(form.matrix[_block(idx)])  # a new array, never a view
     block_generator /= form.space.mu[idx][:, None]
     defect = np.negative(fiber.matrix)
     defect /= fiber.space.mu[:, None]
@@ -149,7 +149,7 @@ def decompose(form: DirichletForm) -> ErgodicDecomposition:
     for z, idx in zip(qmap.index.labels, qmap._layout):
         raw_mass = float(form.space.mu[idx].sum())
         fiber_space = family.fibers[z].as_space()
-        fibers.append(DirichletForm._trusted(fiber_space, form.matrix[np.ix_(idx, idx)] / raw_mass))
+        fibers.append(DirichletForm._trusted(fiber_space, form.matrix[_block(idx)] / raw_mass))
     return ErgodicDecomposition(
         form=form,
         quotient=qmap,
@@ -195,7 +195,9 @@ def verify_decomposition(
     splitting of the semigroup and the resolvent at the given parameters,
     the isometry of the diagonal embedding on random vectors, and that each
     fiber is irreducible.  Passes when every residual is at or below the
-    tolerance.
+    tolerance.  The vectors are drawn from ``rng``, by default the stream
+    of ``numpy.random.default_rng(0)``, reproduced without importing
+    ``numpy.random``.
 
     Every eigendecomposition is taken before the first n x n product, and
     each global product is released before the next one is built: the
@@ -214,13 +216,13 @@ def verify_decomposition(
         """The Frobenius norm of the global operator minus its fiber blocks."""
         out = operator(form, parameter)
         for idx, fiber in zip(layout, dec.fibers):
-            out[np.ix_(idx, idx)] -= operator(fiber, parameter)
+            out[_block(idx)] -= operator(fiber, parameter)
         return float(np.linalg.norm(out, "fro"))
 
     semi_defects = {t: splitting_defect(semigroup, t) for t in times}
     res_defects = {a: splitting_defect(resolvent, a) for a in alphas}
 
-    rng = np.random.default_rng(0) if rng is None else rng
+    rng = Seed0Stream() if rng is None else rng
     normalized = dec.quotient.space
     embed = assemble_l2(normalized, dec.family)
     isometry_defects = []
@@ -260,11 +262,13 @@ def carre_decomposition(
     measure oppositely and cancels).  The report also carries, for
     killing-free fibers, the defect of integrating the density against the
     fiber measure versus the fiber energy, and the worst defect of the
-    product identity on random triples per fiber.
+    product identity on random triples per fiber, drawn from ``rng``, by
+    default the stream of ``numpy.random.default_rng(0)``, reproduced
+    without importing ``numpy.random``.
     """
     gamma = carre_du_champ(dec.form)
     fiber_gammas = tuple(carre_du_champ(fiber) for fiber in dec.fibers)
-    rng = np.random.default_rng(0) if rng is None else rng
+    rng = Seed0Stream() if rng is None else rng
     n = dec.form.n
 
     restriction = 0.0

@@ -21,6 +21,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from ._linalg import (
+    _block,
     resolvent_from_eig,
     semigroup_action,
     semigroup_from_eig,
@@ -338,6 +339,10 @@ class DirichletForm:
     def _eig(self):
         return symmetrized_eig(self.matrix, self.space.mu)
 
+    @cached_property
+    def _invariant_sets(self) -> tuple:
+        return _jump_components(self)
+
     @property
     def spectrum(self) -> np.ndarray:
         """Eigenvalues of -L in L2(mu), ascending; kernel dimension counts components."""
@@ -484,32 +489,40 @@ def invariant_sets(form: DirichletForm) -> tuple:
 
     A jump weight below ``COMPONENT_THRESHOLD`` times the largest weight is
     treated as zero so that numerically vanishing couplings cannot merge
-    components.  Blocks are ordered by smallest point position.
+    components.  Blocks are ordered by smallest point position.  The
+    partition is computed once per form, whose matrix is read-only, and
+    kept on it.
 
     The graph is read from the matrix: off the diagonal the jump weight is
     max(-q, 0), so a weight above a threshold c >= 0 is an entry q < -c.  A
     diagonal entry below -c only adds a loop, which joins nothing.
     """
+    return form._invariant_sets
+
+
+def _jump_components(form: DirichletForm) -> tuple:
+    """:func:`invariant_sets`, searched breadth first one level at a time."""
     q = form._symmetrized()
     n = form.n
     off_diagonal = q.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]  # a view, no copy
     jmax = -float(off_diagonal.min(initial=0.0))
     adjacency = q < -COMPONENT_THRESHOLD * jmax if jmax > 0 else np.zeros((n, n), dtype=bool)
-    seen = np.zeros(n, dtype=bool)
+    unseen = np.ones(n, dtype=bool)
     blocks = []
     for start in range(n):
-        if seen[start]:
+        if not unseen[start]:
             continue
-        stack, comp = [start], []
-        seen[start] = True
-        while stack:
-            x = stack.pop()
-            comp.append(x)
-            for y in np.flatnonzero(adjacency[x]):
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
-        blocks.append(tuple(form.space.points[i] for i in sorted(comp)))
+        unseen[start] = False
+        levels = [[start]]
+        reached = adjacency[start] & unseen
+        while reached.any():
+            frontier = np.flatnonzero(reached)
+            unseen[frontier] = False
+            levels.append(frontier)
+            reached = adjacency[frontier].any(axis=0)
+            reached &= unseen
+        comp = np.sort(np.concatenate(levels))
+        blocks.append(tuple(form.space.points[i] for i in comp.tolist()))
     return tuple(blocks)
 
 
@@ -599,7 +612,7 @@ def _classify(form: DirichletForm, blocks, t1_mass: np.ndarray, tol: float = 1e-
         killing = float(form.killing[idx].max(initial=0.0))
         killing_free = killing <= 1e-12 * scale
         mass_defect = float(np.abs(t1_mass[idx] - 1.0).max())
-        energy_floor = float(np.linalg.eigvalsh(form.matrix[np.ix_(idx, idx)])[0])
+        energy_floor = float(np.linalg.eigvalsh(form.matrix[_block(idx)])[0])
         conservative = mass_defect <= tol
         transient = energy_floor > 1e-12 * scale
         if conservative != killing_free or transient == killing_free:

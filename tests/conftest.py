@@ -4,7 +4,8 @@ The oracles deliberately avoid the library's eigendecomposition code paths:
 the matrix exponential is a scaling-and-squaring truncated Taylor series,
 the resolvent oracle is a direct linear solve, invariant subsets are found
 by exhaustive search over all subsets evaluating the energy-splitting
-criterion directly, Markovianity is probed by randomized contractions and
+criterion directly and by the point-by-point graph search the library
+replaced, Markovianity is probed by randomized contractions and
 by a brute-force contraction-witness search, and block-diagonal matrices
 are summed one embedded block at a time, and random instances are drawn
 by the pair-by-pair loop the vectorised generator replays.  Forms of jump
@@ -77,6 +78,33 @@ def brute_force_invariant_partition(form, tol=1e-10):
                 atom &= mask
         seen |= atom
         blocks.append(tuple(form.space.points[i] for i in np.flatnonzero(atom)))
+    return tuple(blocks)
+
+
+def reference_invariant_sets(form):
+    """``invariant_sets`` by the depth-first loop over single points that it replaced."""
+    from ergodec.forms import COMPONENT_THRESHOLD
+
+    q = form._symmetrized()
+    n = form.n
+    off_diagonal = q.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
+    jmax = -float(off_diagonal.min(initial=0.0))
+    adjacency = q < -COMPONENT_THRESHOLD * jmax if jmax > 0 else np.zeros((n, n), dtype=bool)
+    seen = np.zeros(n, dtype=bool)
+    blocks = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        stack, comp = [start], []
+        seen[start] = True
+        while stack:
+            x = stack.pop()
+            comp.append(x)
+            for y in np.flatnonzero(adjacency[x]):
+                if not seen[y]:
+                    seen[y] = True
+                    stack.append(y)
+        blocks.append(tuple(form.space.points[i] for i in sorted(comp)))
     return tuple(blocks)
 
 

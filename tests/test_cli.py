@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -284,9 +285,9 @@ def test_measures_builds_time_one_semigroup_once_per_fiber(tmp_path, monkeypatch
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_emit_streams_the_report_in_batches(tmp_path, monkeypatch, capsys, fmt, to_file):
-    # A decompose report at n=200 spans more than one batch of chunks.  It is
-    # written in a bounded number of batches, and its bytes are those of the
-    # whole report rendered at once.
+    # A decompose report at n=200 spans more than one batch of characters.
+    # It is written in a bounded number of batches, and its bytes are those
+    # of the whole report rendered at once.
     import ergodec.cli as cli
 
     from ergodec import classification_decomposition, random_form
@@ -300,11 +301,9 @@ def test_emit_streams_the_report_in_batches(tmp_path, monkeypatch, capsys, fmt, 
     )
     if fmt == "json":
         expected = json.dumps(report, indent=2) + "\n"
-        chunks = sum(1 for _ in json.JSONEncoder(indent=2).iterencode(report)) + 1
     else:
         expected = "\n".join(cli._render_text(report)) + "\n"
-        chunks = expected.count("\n")
-    assert chunks > cli._EMIT_BATCH
+    assert len(expected) > cli._EMIT_BATCH
 
     writes = []
 
@@ -329,7 +328,7 @@ def test_emit_streams_the_report_in_batches(tmp_path, monkeypatch, capsys, fmt, 
     written = out.read_text() if to_file else sys.stdout.getvalue()
     assert written == expected
     assert sum(writes) == len(expected)
-    assert 2 <= len(writes) <= chunks // cli._EMIT_BATCH + 1
+    assert 2 <= len(writes) <= len(expected) // cli._EMIT_BATCH + 1
 
 
 @pytest.mark.parametrize("command", ["decompose", "classify", "measures"])
@@ -478,3 +477,84 @@ def test_non_finite_input_prints_one_error_line(tmp_path, name):
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         2, "", f"error: matrix entry {entry} is not finite\n"
     )
+
+
+@pytest.mark.parametrize("case", ["input-directory", "input-not-utf8", "out-missing-directory",
+                                  "stdout-not-unicode"])
+def test_unreadable_input_or_unwritable_out_exits_2(tmp_path, fx_twin, case):
+    path = write_form(tmp_path, fx_twin)
+    env = {**os.environ, "PYTHONUTF8": "1"}
+    if case == "stdout-not-unicode":
+        named = "standard output"
+        (tmp_path / "accent.json").write_text(json.dumps(
+            {"space": {"points": ["\u00e9", "b"], "mu": [1.0, 1.0]},
+             "edges": [["\u00e9", "b", 1.0]]}
+        ))
+        argv = ["classify", "--format", "text", "--input", str(tmp_path / "accent.json")]
+        env["PYTHONIOENCODING"] = "ascii"
+    elif case == "input-directory":
+        named = str(tmp_path)
+        argv = ["decompose", "--input", named]
+    elif case == "input-not-utf8":
+        named = str(tmp_path / "latin1.json")
+        (tmp_path / "latin1.json").write_bytes('{"space": "\u00e9"}'.encode("latin-1"))
+        argv = ["decompose", "--input", named]
+    else:
+        named = str(tmp_path / "missing" / "report.json")
+        argv = ["decompose", "--input", path, "--out", named]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ergodec", *argv],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ") and named in proc.stderr
+
+
+NUMPY_RANDOM_PROBE = (
+    "import sys\n"
+    "from ergodec.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print('numpy.random' in sys.modules, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+@pytest.mark.parametrize("command", ["decompose", "verify", "superpose", "classify", "measures"])
+def test_commands_do_not_import_numpy_random(tmp_path, command):
+    from ergodec import random_form
+
+    path = write_form(tmp_path, random_form(3, 30, 3, killing_prob=0.2))
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_RANDOM_PROBE, command, "--input", path,
+         "--out", str(tmp_path / "report.json")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == "False\n"
+
+
+def test_classify_reads_its_edges_without_a_form_document(
+    tmp_path, monkeypatch, capsys, fx_twin_kill
+):
+    import ergodec.cli as cli
+
+    path = write_form(tmp_path, fx_twin_kill)
+    documents = spy(monkeypatch, cli, "form_to_json", id)
+    assert main(["classify", "--input", path]) == 0
+    assert documents == []
+    assert json.loads(capsys.readouterr().out)["jump"] == form_to_json(fx_twin_kill)["edges"]
+
+
+def test_decompose_computes_each_invariant_partition_once(tmp_path, monkeypatch, capsys):
+    import ergodec.forms
+
+    from ergodec import random_form
+
+    path = write_form(tmp_path, random_form(5, 40, 1))
+    forms = spy(monkeypatch, ergodec.forms, "_jump_components", id)
+    assert main(["decompose", "--input", path]) == 0
+    # The global form and its one fiber, each searched once.
+    assert len(forms) == len(set(forms)) == 2
+    capsys.readouterr()

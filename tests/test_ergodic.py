@@ -737,3 +737,26 @@ def test_classify_builds_no_time_one_matrix(monkeypatch, killing_prob):
     fibers = sorted(len(idx) for idx in dec.quotient._layout)
     assert sorted(actions) == sorted([(form.n, 1.0, False)] + [(n, 1.0, False) for n in fibers])
     assert products == []
+
+
+def test_block_index_is_a_pair_of_slices_on_a_run():
+    from ergodec._linalg import _block
+
+    assert _block(np.arange(3, 7)) == (slice(3, 7), slice(3, 7))
+    assert _block(np.array([2])) == (slice(2, 3), slice(2, 3))
+    matrix = np.arange(64.0).reshape(8, 8)
+    for idx in ([1, 3, 4], [4, 3], [2], [5, 6, 7], list(range(8)), [0, 2, 1]):
+        idx = np.array(idx)
+        block = _block(idx)
+        assert isinstance(block[0], slice) == (list(idx) == list(range(idx[0], idx[0] + len(idx))))
+        assert np.array_equal(matrix[block], matrix[np.ix_(idx, idx)])
+
+
+def test_single_block_residuals_leave_the_form_matrix_unchanged():
+    # The whole space is one run, so its block is a view of the read-only matrix.
+    form = random_form(6, 30, 1, killing_prob=0.2)
+    before = np.array(form.matrix)
+    dec = decompose(form)
+    assert verify_decomposition(dec).passed
+    assert dec.residuals["fiber_generator"] < 1e-12
+    assert np.array_equal(form.matrix, before) and not form.matrix.flags.writeable
