@@ -28,6 +28,7 @@ from .errors import (
     NotMarkovianError,
     NotPSDError,
     NotPushforwardError,
+    NotRepresentableError,
     NotSeparatedError,
     PartitionMismatchError,
 )

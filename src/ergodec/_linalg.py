@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NotRepresentableError
+
 
 def _block(idx: np.ndarray):
     """The index of the square block of an n x n matrix at positions ``idx``.
@@ -37,6 +39,18 @@ def _assemble_blocks(out: np.ndarray, layout, blocks) -> np.ndarray:
     return out
 
 
+def _solve(eigensolver, matrix: np.ndarray):
+    """``eigensolver(matrix)``; a solver that fails to converge refuses the form.
+
+    The range check of a form keeps its matrices finite, but entries many
+    hundreds of orders of magnitude apart can still defeat LAPACK.
+    """
+    try:
+        return eigensolver(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NotRepresentableError(f"the eigendecomposition failed: {exc}") from None
+
+
 def symmetrized_eig(matrix: np.ndarray, mu: np.ndarray):
     """Eigendecomposition of D^{-1/2} A D^{-1/2}, D = diag(mu).
 
@@ -46,7 +60,7 @@ def symmetrized_eig(matrix: np.ndarray, mu: np.ndarray):
     sqrt_mu = np.sqrt(mu)
     sym = matrix / sqrt_mu[:, None]
     sym /= sqrt_mu[None, :]
-    w, v = np.linalg.eigh(sym)
+    w, v = _solve(np.linalg.eigh, sym)
     return np.clip(w, 0.0, None), v, sqrt_mu
 
 

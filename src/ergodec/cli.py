@@ -17,6 +17,7 @@ from itertools import chain
 import numpy as np
 
 from ._jsonenc import iterencode
+from ._tolerance import RESIDUAL_TOLERANCE
 from .direct_integral import superpose
 from .ergodic import (
     classification_decomposition,
@@ -45,7 +46,7 @@ _EMIT_BATCH = 1 << 16
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", help="path of the instance JSON file")
-    common.add_argument("--tolerance", type=float, default=1e-10)
+    common.add_argument("--tolerance", type=float, default=RESIDUAL_TOLERANCE)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--phi", help="comma-separated positive density, or 'random'")
     common.add_argument("--format", choices=("json", "text"), default="json")
@@ -191,7 +192,7 @@ def _cmd_classify(args) -> int:
             }
             for z, c in cls.per_component.items()
         },
-        "jump": _edge_list(form.space.points, form._symmetrized()),
+        "jump": _edge_list(form.space.points, form.matrix),
         "killing": [float(k) for k in form.killing],
         "spectrum": [float(w) for w in form.spectrum],
     }

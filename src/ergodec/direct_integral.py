@@ -37,6 +37,7 @@ from .errors import (
     NotDecomposableError,
     NotSeparatedError,
 )
+from ._tolerance import TAU
 from .forms import DirichletForm, _matrix_scale, is_markovian
 from .spaces import (
     FiniteMeasureSpace,
@@ -46,8 +47,6 @@ from .spaces import (
     _readonly,
     is_separated,
 )
-
-_DECOMPOSABLE_RTOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,8 +255,8 @@ def decompose_operator(matrix, structure) -> DecomposableOperator:
     Raises
     ------
     NotDecomposableError
-        If the off-block part has weighted operator norm above 1e-12
-        relative to the matrix scale; the error carries the off-block norm.
+        If the off-block part has weighted operator norm above ``TAU`` times
+        1 + max |matrix|; the error carries the off-block norm.
     """
     matrix = np.asarray(matrix, dtype=float)
     if isinstance(structure, QuotientMap):
@@ -270,7 +269,7 @@ def decompose_operator(matrix, structure) -> DecomposableOperator:
     blocks = tuple(matrix[_block(idx)].copy() for idx in layout)  # not views of the input
     block_part = _assemble_blocks(np.zeros_like(matrix), layout, blocks)
     off_norm = weighted_operator_norm(matrix - block_part, weights)
-    if off_norm > _DECOMPOSABLE_RTOL * _matrix_scale(matrix):
+    if off_norm > TAU * _matrix_scale(matrix):
         raise NotDecomposableError(off_norm)
     return DecomposableOperator(dspace, blocks)
 
@@ -293,12 +292,13 @@ def diagonalizable(dspace: DirectIntegralSpace, values) -> DecomposableOperator:
     )
 
 
-def commutes_with_diagonalizables(matrix, dspace: DirectIntegralSpace, *, tol: float = 1e-12):
+def commutes_with_diagonalizables(matrix, dspace: DirectIntegralSpace):
     """Test commutation with every fiber-indicator multiplication operator.
 
     Commutation with all of them characterizes decomposability.  Returns
     ``(True, None)`` or ``(False, witness_label)`` with the label of the
-    first indicator whose commutator does not vanish.
+    first indicator whose commutator has weighted operator norm above
+    ``TAU`` times 1 + max |matrix|, the threshold of :func:`decompose_operator`.
     """
     matrix = np.asarray(matrix, dtype=float)
     scale = _matrix_scale(matrix)
@@ -306,7 +306,7 @@ def commutes_with_diagonalizables(matrix, dspace: DirectIntegralSpace, *, tol: f
         ind = np.zeros(dspace.dim)
         ind[idx] = 1.0
         commutator = matrix * ind[None, :] - ind[:, None] * matrix
-        if weighted_operator_norm(commutator, dspace.stacked_weights) > tol * scale:
+        if weighted_operator_norm(commutator, dspace.stacked_weights) > TAU * scale:
             return False, z
     return True, None
 

@@ -42,6 +42,10 @@ class NotMarkovianError(ErgodecError):
         super().__init__(message or "matrix does not define a Markovian (Dirichlet) form")
 
 
+class NotRepresentableError(ErgodecError):
+    """The generator of a form does not fit in floats."""
+
+
 class NegativeTimeError(ErgodecError):
     pass
 

@@ -14,6 +14,7 @@ semigroup e^{tL} and resolvent (alpha - L)^{-1}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -22,11 +23,13 @@ import numpy as np
 
 from ._linalg import (
     _block,
+    _solve,
     resolvent_from_eig,
     semigroup_action,
     semigroup_from_eig,
     symmetrized_eig,
 )
+from ._tolerance import MARKOV_RTOL, PSD_RTOL, SYMMETRY_RTOL, TAU
 from .errors import (
     ConsistencyError,
     HasKillingError,
@@ -37,14 +40,12 @@ from .errors import (
     NonPositivePhiError,
     NotMarkovianError,
     NotPSDError,
+    NotRepresentableError,
 )
 from .spaces import FiniteMeasureSpace, _readonly
 
 #: Relative threshold below which a jump weight does not join two components.
-COMPONENT_THRESHOLD = 1e-12
-
-_MARKOV_RTOL = 1e-14
-_PSD_RTOL = 1e-12
+COMPONENT_THRESHOLD = TAU
 
 
 def _matrix_scale(matrix) -> float:
@@ -54,6 +55,45 @@ def _matrix_scale(matrix) -> float:
     result is bitwise ``1 + np.abs(A).max()``.
     """
     return 1.0 + abs(max(float(matrix.max()), -float(matrix.min())))
+
+
+def _check_range(matrix, space: FiniteMeasureSpace) -> None:
+    """Refuse a Markovian matrix whose generator does not fit in floats, in O(n).
+
+    A Markovian matrix is diagonally dominant, so max_x A(x, x) / mu(x) bounds
+    every entry of L and of D^{-1/2} A D^{-1/2}, and twice it every
+    eigenvalue.  The fibers A_B / m_B of :func:`~ergodec.ergodic.decompose`
+    have m_B >= mu(x) on their block, so they stay within the same bound.
+    The bound and max_x A(x, x) must stay below float max / (4 n), so that
+    sums of n such entries fit too.
+    """
+    diag = np.diagonal(matrix)
+    with np.errstate(over="ignore"):
+        rates = diag / space.mu
+    limit = np.finfo(float).max / (4 * space.n)
+    if not (rates.max() <= limit and diag.max() <= limit):
+        x = int(np.argmax(np.maximum(rates, diag)))
+        raise NotRepresentableError(
+            f"the generator does not fit in floats: at point {space.points[x]!r}, "
+            f"A(x, x) = {diag[x]:.3e} and A(x, x) / mu(x) = {rates[x]:.3e}, above {limit:.3e}"
+        )
+
+
+def _killed(form: DirichletForm) -> np.ndarray:
+    """The points that carry killing: k(x) > TAU * A(x, x), or k(x) / mu(x) > TAU * |L(x, x)|."""
+    return form.killing > TAU * np.diagonal(form.matrix)
+
+
+def _generator_scale(form: DirichletForm) -> float:
+    """gamma = max_x A(x, x) / mu(x), which bounds every entry of L and twice its spectrum."""
+    return float((np.diagonal(form.matrix) / form.space.mu).max())
+
+
+def _largest_jump(q: np.ndarray) -> float:
+    """The largest jump weight max(-q, 0) off the diagonal of a symmetric matrix."""
+    n = len(q)
+    off_diagonal = q.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]  # a view, no copy
+    return -float(off_diagonal.min(initial=0.0))
 
 
 def _jump(q: np.ndarray) -> np.ndarray:
@@ -75,13 +115,14 @@ def _contraction_energy_drop(matrix, f):
     return float(g @ matrix @ g - f @ matrix @ f)
 
 
-def is_markovian(matrix, space: FiniteMeasureSpace, *, tol: float | None = None):
+def is_markovian(matrix, space: FiniteMeasureSpace):
     """Test the sub-Markov contraction property of a symmetric PSD matrix.
 
     A symmetric PSD matrix Q is Markovian exactly when its off-diagonal
     entries are nonpositive and its row sums are nonnegative, so the search
     for a contraction witness only needs the violated entries, each with a
-    closed-form witness and energy gain Q(f+ ^ 1) - Q(f):
+    closed-form witness and energy gain Q(f+ ^ 1) - Q(f), where tol is
+    ``MARKOV_RTOL`` times 1 + max |Q|:
 
     * a coupling q_xy > tol with q_yy > tol: f = e_x - (q_xy/q_yy) e_y,
       contracted to e_x, gains q_xy^2 / q_yy;
@@ -103,8 +144,6 @@ def is_markovian(matrix, space: FiniteMeasureSpace, *, tol: float | None = None)
         Symmetric (symmetrized defensively) positive semidefinite matrix.
     space : FiniteMeasureSpace
         The underlying space; fixes n.
-    tol : float, optional
-        Decision threshold; defaults to 1e-14 relative to the matrix scale.
 
     Returns
     -------
@@ -135,14 +174,13 @@ def is_markovian(matrix, space: FiniteMeasureSpace, *, tol: float | None = None)
     # the spectral norm is at least max q_xx, so a floor above half the PSD
     # threshold certifies the check below without an eigendecomposition.
     floor = float((2.0 * diag - np.abs(q).sum(axis=1)).min())
-    if floor < -0.5 * _PSD_RTOL * max(1.0, float(diag.max())):
+    if floor < -0.5 * PSD_RTOL * max(1.0, float(diag.max())):
         evals = np.linalg.eigvalsh(q)
         norm = float(np.abs(evals).max())
-        if evals[0] < -_PSD_RTOL * max(1.0, norm):
+        if evals[0] < -PSD_RTOL * max(1.0, norm):
             raise NotPSDError(float(evals[0]))
 
-    scale = _matrix_scale(q)
-    tol = _MARKOV_RTOL * scale if tol is None else tol
+    tol = MARKOV_RTOL * _matrix_scale(q)
 
     n = space.n
     off_diagonal = ~np.eye(n, dtype=bool)
@@ -193,13 +231,12 @@ class DirichletForm:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _readonly(self.matrix))
-        a = self.matrix
+        a = _readonly(self.matrix)
         if a.shape != (self.space.n, self.space.n):
             raise ValueError("matrix shape does not match the space")
         scale = _matrix_scale(a)
         with np.errstate(over="ignore", invalid="ignore"):  # is_markovian rejects non-finite
-            asymmetric = np.abs(a - a.T).max() > 1e-13 * scale
+            asymmetric = np.abs(a - a.T).max() > SYMMETRY_RTOL * scale
         if asymmetric:
             raise ValueError("energy matrix must be symmetric")
         ok, payload = is_markovian(a, self.space)
@@ -207,13 +244,15 @@ class DirichletForm:
             raise NotMarkovianError(witness=payload)
         jump, killing = payload
         rebuilt = np.diag(jump.sum(axis=1) + killing) - jump
-        if np.abs(rebuilt - a).max() > 1e-13 * scale:
+        if np.abs(rebuilt - a).max() > SYMMETRY_RTOL * scale:
             raise NotMarkovianError(message="jump/killing data does not rebuild the matrix")
         del jump, rebuilt
         with np.errstate(over="ignore"):
-            symmetric = np.array_equal(a, 0.5 * (a + a.T))
+            a = 0.5 * (a + a.T)  # the matrix is_markovian reads the kernel from
+        _check_range(a, self.space)
+        a.flags.writeable = False
+        object.__setattr__(self, "matrix", a)
         object.__setattr__(self, "_killing", _readonly(killing))
-        object.__setattr__(self, "_symmetric", symmetric)
 
     @classmethod
     def from_matrix(cls, space: FiniteMeasureSpace, matrix) -> "DirichletForm":
@@ -236,7 +275,6 @@ class DirichletForm:
         object.__setattr__(form, "space", space)
         object.__setattr__(form, "matrix", matrix)
         object.__setattr__(form, "_killing", killing)
-        object.__setattr__(form, "_symmetric", True)
         return form
 
     @classmethod
@@ -244,7 +282,9 @@ class DirichletForm:
         """Build a form without validation, for matrices Markovian by construction.
 
         A principal block of a validated form over an invariant set, or a
-        positive multiple of one, is symmetric, PSD and Markovian.  The
+        positive multiple of one, is symmetric, PSD and Markovian, and a
+        fiber of :func:`~ergodec.ergodic.decompose` is in range (see
+        :func:`_check_range`).  The
         matrix is symmetrized as in :meth:`from_matrix`, and the killing and
         the derived jump kernel are read from it as in the accept branch of
         :func:`is_markovian`, so the result equals ``from_matrix(space,
@@ -273,7 +313,8 @@ class DirichletForm:
         the symmetrized input off the diagonal.  Input without the
         certificate (a negative, NaN or infinite entry, a row sum that
         overflows, a shape that does not match) goes through the
-        constructor, with its errors and witnesses.
+        constructor, with its errors and witnesses.  Both paths refuse a
+        form out of range (:func:`_check_range`).
         """
         jump = np.asarray(jump, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -293,29 +334,17 @@ class DirichletForm:
             return cls(space, np.diag(diag) - jump)
         matrix = np.diag(diag)
         matrix -= jump
+        _check_range(matrix, space)
         return cls._unchecked(space, matrix)
 
     @property
     def n(self) -> int:
         return self.space.n
 
-    def _symmetrized(self) -> np.ndarray:
-        """The symmetric matrix that the jump kernel and killing are read from.
-
-        That is the matrix itself, unless the constructor was given a matrix
-        that is symmetric only within tolerance; then it is 0.5 (A + A^T),
-        as :func:`is_markovian` reads it.
-        """
-        a = self.matrix
-        if self._symmetric:
-            return a
-        with np.errstate(over="ignore"):
-            return 0.5 * (a + a.T)
-
     @cached_property
     def jump(self) -> np.ndarray:
         """The jump kernel J(x, y) = max(-A(x, y), 0) off the diagonal, derived on first access."""
-        jump = _jump(self._symmetrized())
+        jump = _jump(self.matrix)
         jump.flags.writeable = False
         return jump
 
@@ -325,8 +354,13 @@ class DirichletForm:
 
     @property
     def killing_free(self) -> bool:
-        """No killing beyond roundoff of the row sums."""
-        return float(self._killing.max()) <= 1e-12 * _matrix_scale(self.matrix)
+        """No point carries killing, k(x) <= TAU * A(x, x): the conservative verdict of :func:`classify`.
+
+    Divided by mu(x), k(x) is the killing rate and A(x, x) the total rate of
+    the generator at x, so the verdict depends only on A / mu, and the
+    threshold covers the roundoff of the row sums the killing is read from.
+    """
+        return not _killed(self).any()
 
     @cached_property
     def generator(self) -> np.ndarray:
@@ -439,59 +473,91 @@ def carre_du_champ(form: DirichletForm) -> CarreDuChamp:
 
 @dataclass(frozen=True)
 class InvarianceReport:
-    """Defects of the four invariance criteria for one candidate subset."""
+    """Defects of the four invariance criteria for one candidate subset.
+
+    ``tolerance`` is the threshold of the verdict on the energy splitting,
+    ``COMPONENT_THRESHOLD`` times the largest jump weight.
+    """
 
     defects: Mapping[str, float]
     tolerance: float
     invariant: bool
 
 
-def is_invariant(form: DirichletForm, subset: Iterable, *, tol: float = 1e-10):
+def is_invariant(form: DirichletForm, subset: Iterable):
     """Test invariance of a point subset under the dynamics of a form.
 
     Evaluates the four finite-dimensional criteria: commutation of the
     semigroup with multiplication by the indicator (t in {0.3, 1}), leakage
     of the semigroup and of the resolvent (alpha in {1, 5}) out of the
     subset, and splitting of the energy across the subset and its
-    complement.  The criteria are required to agree; the common verdict is
-    returned together with the per-criterion defects.
+    complement.  The energy splitting decides, with the threshold of
+    :func:`invariant_sets`: the subset is invariant when no jump weight
+    across its boundary exceeds ``COMPONENT_THRESHOLD`` times the largest
+    one, so every block of :func:`invariant_sets` and every union of blocks
+    is invariant.  The verdict is returned with the per-criterion defects.
+
+    An invariant verdict is checked against the dynamics: the generator
+    differs from its split over the subset by the jumps C across the
+    boundary, so by Duhamel the symmetrized entries sqrt(mu(x) / mu(y))
+    G(x, y) across it are at most t rho for G = T_t and rho / alpha^2 for
+    the resolvent, with rho the largest row or column sum of
+    D^{-1/2} C D^{-1/2}.  Past that bound, plus roundoff of TAU (1 + t gamma)
+    and TAU (1 + gamma / alpha) / alpha with gamma = max A(x, x) / mu(x),
+    :class:`ConsistencyError` is raised.  A jump just above the threshold
+    leaks no more than roundoff, so non-invariance is not cross checked.
     """
     labels = list(subset)
     mask = np.zeros(form.n, dtype=bool)
     if labels:
         mask[form.space.indices_of(labels)] = True
-    scale = _matrix_scale(form.matrix)
+    q, times, alphas = form.matrix, (0.3, 1.0), (1.0, 5.0)
+    out, back = np.ix_(mask, ~mask), np.ix_(~mask, mask)
+    proper = bool(mask.any() and not mask.all())
 
     def off_block(m) -> float:
-        if mask.all() or not mask.any():
-            return 0.0
-        return float(max(np.abs(m[np.ix_(~mask, mask)]).max(),
-                         np.abs(m[np.ix_(mask, ~mask)]).max()))
+        return float(max(np.abs(m[out]).max(), np.abs(m[back]).max())) if proper else 0.0
 
-    ts = (semigroup(form, 0.3), semigroup(form, 1.0))
-    gs = (resolvent(form, 1.0), resolvent(form, 5.0))
+    ts = tuple(semigroup(form, t) for t in times)
+    gs = tuple(resolvent(form, a) for a in alphas)
     ind = np.diag(mask.astype(float))
     defects = {
         "semigroup_commutation": max(float(np.abs(t @ ind - ind @ t).max()) for t in ts),
         "semigroup_leakage": max(off_block(t) for t in ts),
         "resolvent_leakage": max(off_block(g) for g in gs),
-        "energy_splitting": off_block(form.matrix),
+        "energy_splitting": off_block(q),
     }
-    verdicts = {k: v <= tol * scale for k, v in defects.items()}
-    if len(set(verdicts.values())) != 1:
-        raise ConsistencyError(f"invariance criteria disagree: {defects}", defects)
-    verdict = next(iter(verdicts.values()))
-    return verdict, InvarianceReport(defects, tol * scale, verdict)
+    threshold = COMPONENT_THRESHOLD * _largest_jump(q)
+    invariant = -float(q[out].min(initial=0.0)) <= threshold
+    if invariant and proper:
+        sqrt_mu = np.sqrt(form.space.mu)
+        inside, outside = sqrt_mu[mask][:, None], sqrt_mu[~mask][None, :]
+        ratio = inside / outside
+        jumps = np.maximum(-q[out], 0.0) / inside / outside
+        rho = float(max(jumps.sum(axis=1).max(), jumps.sum(axis=0).max()))
+        gamma = _generator_scale(form)
+        bounds = ([t * rho + TAU * (1.0 + t * gamma) for t in times]
+                  + [rho / a ** 2 + TAU * (1.0 + gamma / a) / a for a in alphas])
+        for m, bound in zip((*ts, *gs), bounds):
+            leak = float(max(np.abs(m[out] * ratio).max(), np.abs(m[back] / ratio.T).max()))
+            if leak > bound:
+                raise ConsistencyError(
+                    f"invariance criteria disagree: leakage {leak:.3e} out of an invariant "
+                    f"subset exceeds its bound {bound:.3e}",
+                    defects,
+                )
+    return invariant, InvarianceReport(defects, threshold, invariant)
 
 
 def invariant_sets(form: DirichletForm) -> tuple:
     """The minimal invariant partition: connected components of the jump graph.
 
-    A jump weight below ``COMPONENT_THRESHOLD`` times the largest weight is
-    treated as zero so that numerically vanishing couplings cannot merge
-    components.  Blocks are ordered by smallest point position.  The
-    partition is computed once per form, whose matrix is read-only, and
-    kept on it.
+    A jump weight at or below ``COMPONENT_THRESHOLD`` times the largest
+    weight is treated as zero so that numerically vanishing couplings cannot
+    merge components; :func:`is_invariant` decides with the same threshold,
+    so it accepts every block.  Blocks are ordered by smallest point
+    position.  The partition is computed once per form, whose matrix is
+    read-only, and kept on it.
 
     The graph is read from the matrix: off the diagonal the jump weight is
     max(-q, 0), so a weight above a threshold c >= 0 is an entry q < -c.  A
@@ -502,10 +568,9 @@ def invariant_sets(form: DirichletForm) -> tuple:
 
 def _jump_components(form: DirichletForm) -> tuple:
     """:func:`invariant_sets`, searched breadth first one level at a time."""
-    q = form._symmetrized()
+    q = form.matrix
     n = form.n
-    off_diagonal = q.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]  # a view, no copy
-    jmax = -float(off_diagonal.min(initial=0.0))
+    jmax = _largest_jump(q)
     adjacency = q < -COMPONENT_THRESHOLD * jmax if jmax > 0 else np.zeros((n, n), dtype=bool)
     unseen = np.ones(n, dtype=bool)
     blocks = []
@@ -583,45 +648,63 @@ class Classification:
     transient_part: tuple
 
 
-def classify(form: DirichletForm, *, tol: float = 1e-10) -> Classification:
+def classify(form: DirichletForm) -> Classification:
     """Classify a form component by component.
 
     On a connected finite component the three notions collapse to the
-    presence of killing: no killing gives a conservative recurrent block
-    (the constant has zero energy), any killing gives a transient one (the
-    restricted energy matrix is positive definite).  Each verdict is cross
-    checked against the semigroup: mass preservation of T_1 on the block for
-    conservativeness, the smallest restricted eigenvalue for transience.
-    Global flags are the conjunction over the components, and the space
+    presence of killing, and the verdict is read from it: a component where
+    no point carries killing (see :attr:`DirichletForm.killing_free`) is
+    conservative and recurrent, as the constant has zero energy; killing
+    anywhere makes it transient, as its energy matrix is positive definite.
+    Global flags are the conjunction over the components, so
+    ``classify(form).conservative`` is ``form.killing_free``, and the space
     splits as the union of recurrent blocks plus the union of transient
-    blocks, with nothing left over.  The masses T_1 1 come from applying
-    T_1 to the constants; no n x n T_1 is built.
+    blocks, with nothing left over.
+
+    Two bounds implied by the killing K_B of each block B are checked, and a
+    violation raises :class:`ConsistencyError`: the mass defect
+    m = 1 - T_1 1 satisfies sum_B k (1 - m) - L_B <= <mu, m>_B <= K_B + L_B,
+    as <mu, m>_B integrates sum_B k T_s 1 plus the flow across the boundary
+    over s in [0, 1] and T_1 1 <= T_s 1 <= 1; the energy floor, the least
+    eigenvalue of the block matrix, lies in [0, (K_B + L_B) / |B|], the
+    Rayleigh quotient of the constant.  L_B = COMPONENT_THRESHOLD jmax |B|
+    (n - |B|) bounds the jumps :func:`invariant_sets` dropped at the
+    boundary.  The roundoff allowed is TAU (1 + gamma) sqrt(m_B M) for the
+    mass, with gamma = max A(x, x) / mu(x), block mass m_B and total mass
+    M, and TAU |B| max_B A(x, x) for the floor.  T_1 is applied to the
+    constants; no n x n T_1 is built.
     """
     t1_mass = semigroup_action(form._eig, 1.0, np.ones(form.n))
-    return _classify(form, invariant_sets(form), t1_mass, tol)
+    return _classify(form, invariant_sets(form), t1_mass)
 
 
-def _classify(form: DirichletForm, blocks, t1_mass: np.ndarray, tol: float = 1e-10) -> Classification:
+def _classify(form: DirichletForm, blocks, t1_mass: np.ndarray) -> Classification:
     """:func:`classify` over the invariant ``blocks``, given the time-one masses T_1 1."""
-    scale = _matrix_scale(form.matrix)
+    mu, diag, k, killed = form.space.mu, np.diagonal(form.matrix), form.killing, _killed(form)
+    cut, n = COMPONENT_THRESHOLD * _largest_jump(form.matrix), form.n
+    mass_slack = TAU * (1.0 + _generator_scale(form)) * math.sqrt(form.space.total_mass)
 
     per = {}
     cons_points, trans_points = [], []
     for i, block in enumerate(blocks):
         idx = form.space.indices_of(block)
-        killing = float(form.killing[idx].max(initial=0.0))
-        killing_free = killing <= 1e-12 * scale
-        mass_defect = float(np.abs(t1_mass[idx] - 1.0).max())
-        energy_floor = float(np.linalg.eigvalsh(form.matrix[_block(idx)])[0])
-        conservative = mass_defect <= tol
-        transient = energy_floor > 1e-12 * scale
-        if conservative != killing_free or transient == killing_free:
+        t1, mass, killing = t1_mass[idx], float(mu[idx].sum()), float(k[idx].sum())
+        leak, slack = cut * len(idx) * (n - len(idx)), mass_slack * math.sqrt(mass)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflows only where slack is inf
+            lost, kept = mass - float(mu[idx] @ t1), float(k[idx] @ t1)
+        energy_floor = float(_solve(np.linalg.eigvalsh, form.matrix[_block(idx)])[0])
+        floor_slack = TAU * len(idx) * float(diag[idx].max())
+        if (lost > killing + leak + slack or lost < kept - leak - slack
+                or energy_floor < -floor_slack
+                or energy_floor > (killing + leak) / len(idx) + floor_slack):
             raise ConsistencyError(
                 f"classification criteria disagree on block {block}",
-                {"mass_defect": mass_defect, "energy_floor": energy_floor, "killing": killing},
+                {"mass_loss": lost, "energy_floor": energy_floor, "killing": killing},
             )
+        transient = bool(killed[idx].any())
         per[f"z{i}"] = ComponentClassification(
-            block, conservative, transient, not transient, mass_defect, energy_floor
+            block, not transient, transient, not transient,
+            float(np.abs(t1 - 1.0).max()), energy_floor,
         )
         (cons_points if not transient else trans_points).extend(block)
 

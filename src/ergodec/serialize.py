@@ -121,7 +121,7 @@ def _edge_list(points, matrix) -> list:
 def form_to_json(form: DirichletForm) -> dict:
     return {
         "space": space_to_json(form.space),
-        "edges": _edge_list(form.space.points, form._symmetrized()),
+        "edges": _edge_list(form.space.points, form.matrix),
         "killing": [float(k) for k in form.killing],
     }
 
@@ -228,7 +228,7 @@ def decomposition_report(
         entry = {
             "support": list(fiber.space.points),
             "mu": [float(w) for w in fiber.space.mu],
-            "edges": _edge_list(fiber.space.points, fiber._symmetrized()),
+            "edges": _edge_list(fiber.space.points, fiber.matrix),
             "killing": [float(k) for k in fiber.killing],
         }
         if fiber_classes is not None:

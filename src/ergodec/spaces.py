@@ -15,6 +15,7 @@ from typing import Hashable, Iterable, Mapping, Sequence
 import numpy as np
 
 from ._stream import Seed0Stream
+from ._tolerance import TAU
 from .errors import (
     EmptySpaceError,
     ErgodecError,
@@ -227,8 +228,8 @@ class QuotientMap:
     """A total map from points to fiber labels with the pushforward index measure.
 
     Every point goes to an index label, every label receives a point, and
-    the weight of each label is the mass of its block, within a relative
-    1e-12; otherwise construction raises :class:`NotAPartitionError` or
+    the weight of each label is the mass of its block, within ``TAU`` times
+    that mass; otherwise construction raises :class:`NotAPartitionError` or
     :class:`NotPushforwardError`.
     """
 
@@ -254,7 +255,7 @@ class QuotientMap:
                 raise NotAPartitionError(f"index label {z!r} has no points")
         for z, idx, nu in zip(self.index.labels, self._layout, self.index.nu):
             mass = float(self.space.mu[idx].sum())
-            if abs(nu - mass) > 1e-12 * mass:
+            if abs(nu - mass) > TAU * mass:
                 raise NotPushforwardError(
                     f"index weight {float(nu)!r} of {z!r} is not the mass {mass!r} of its block"
                 )
@@ -380,7 +381,6 @@ def verify_pseudo_disintegration(
     *,
     trials: int = 20,
     rng=None,
-    tolerance: float = 1e-12,
 ) -> DisintegrationReport:
     """Measure how far a family is from disintegrating the ambient measure.
 
@@ -388,8 +388,10 @@ def verify_pseudo_disintegration(
     and, for ``trials`` random test functions g, the defect of the iterated
     integral against the plain integral of g.  The functions are drawn from
     ``rng``, by default the stream of ``numpy.random.default_rng(0)``,
-    reproduced without importing ``numpy.random``.  Report-style: never
-    raises on a failing family.
+    reproduced without importing ``numpy.random``.  The family passes when
+    the singleton defect is at most ``TAU`` times max mu and the integral
+    defect at most ``TAU`` times the total mass.  Report-style: never raises
+    on a failing family.
     """
     rng = Seed0Stream() if rng is None else rng
     mixed = np.zeros(space.n)
@@ -405,6 +407,6 @@ def verify_pseudo_disintegration(
         rhs = float(np.dot(g, mixed))
         integral_defect = max(integral_defect, abs(lhs - rhs))
 
-    scale = max(1.0, float(space.mu.max()))
-    passed = point_defect <= tolerance * scale and integral_defect <= tolerance * scale * space.n
-    return DisintegrationReport(point_defect, integral_defect, tolerance, passed)
+    passed = (point_defect <= TAU * float(space.mu.max())
+              and integral_defect <= TAU * space.total_mass)
+    return DisintegrationReport(point_defect, integral_defect, TAU, passed)

@@ -85,7 +85,7 @@ def reference_invariant_sets(form):
     """``invariant_sets`` by the depth-first loop over single points that it replaced."""
     from ergodec.forms import COMPONENT_THRESHOLD
 
-    q = form._symmetrized()
+    q = form.matrix
     n = form.n
     off_diagonal = q.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
     jmax = -float(off_diagonal.min(initial=0.0))

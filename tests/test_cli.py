@@ -209,8 +209,8 @@ def test_generate_decompose_verify_round_trip(tmp_path):
     assert time.monotonic() - start < 60.0
 
 
-# Inputs on which the classification criteria disagree: killing far below
-# the mass-defect tolerance, and a tiny weight under a huge jump.
+# Killing 1e-11 at the end of a path, which every command classifies as
+# transient, and a tiny weight under a huge jump, which is out of range.
 CONSISTENCY_INPUTS = {
     "small-killing-path": {
         "space": {"points": [0, 1, 2], "mu": [1.0, 1.0, 1.0]},
@@ -233,9 +233,45 @@ def test_consistency_failure_exits_3(tmp_path, command, instance):
         [sys.executable, "-m", "ergodec", command, "--input", str(path)],
         capture_output=True, text=True,
     )
-    assert proc.returncode == 3
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.splitlines()[-1].startswith("error: classification criteria disagree")
+    if instance == "small-killing-path":
+        assert (proc.returncode, proc.stderr) == (0, "")
+        report = json.loads(proc.stdout)
+        verdicts = {"classify": lambda: report["flags"]["transient"],
+                    "decompose": lambda: report["fibers"]["z0"]["class"]["transient"],
+                    "measures": lambda: report["ergodic"] == []}
+        assert verdicts[command]()
+    else:
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: the generator does not fit in floats")
+        assert proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
+
+
+# Generators that do not fit in floats: a tiny weight under a huge jump, and
+# one that ended in a LinAlgError traceback.
+OUT_OF_RANGE_INPUTS = {
+    "tiny-mu-huge-jump": CONSISTENCY_INPUTS["tiny-mu-huge-jump"],
+    "huge-killing": {
+        "space": {"points": ["p0", "p1", "p2"], "mu": [1e-300, 1e-100, 1e-100]},
+        "edges": [["p0", "p2", 1e300]],
+        "killing": [-0.0, 1e300, 1e9],
+    },
+}
+
+
+@pytest.mark.parametrize("command", ["classify", "decompose", "measures", "verify", "superpose"])
+@pytest.mark.parametrize("instance", sorted(OUT_OF_RANGE_INPUTS))
+def test_out_of_range_input_exits_2_without_warnings(tmp_path, command, instance):
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(OUT_OF_RANGE_INPUTS[instance]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "ergodec", command, "--input", str(path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    point = OUT_OF_RANGE_INPUTS[instance]["space"]["points"][0]
+    assert proc.stderr.startswith(f"error: the generator does not fit in floats: at point {point!r}")
+    assert proc.stderr.count("\n") == 1
     assert proc.stdout == ""
 
 

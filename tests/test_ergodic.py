@@ -158,14 +158,23 @@ def test_verify_detects_scaled_fiber(fx_twin):
     )
 
 
-def test_nan_fiber_generator_defect_is_kept():
-    # mu = 1e-300 under a jump of 1e300 overflows both generators to inf,
-    # so the generator defect of the first fiber is inf - inf = NaN.
+def test_nan_fiber_generator_defect_is_kept(monkeypatch):
+    # mu = 1e-300 under a jump of 1e300 overflows both generators to inf.
+    # Such a form is refused; built past the range check, the generator
+    # defect of its first fiber is inf - inf = NaN, and it is kept.
+    import ergodec.forms
+
+    from ergodec import NotRepresentableError
+
     space = validate_space([("a", 1e-300), ("b", 1.0)])
+    jump = np.array([[0.0, 1e300], [1e300, 0.0]])
+    with pytest.raises(NotRepresentableError):
+        DirichletForm.from_jump_kernel(space, jump)
+    monkeypatch.setattr(ergodec.forms, "_check_range", lambda matrix, space: None)
     with np.errstate(all="ignore"):
-        form = DirichletForm.from_jump_kernel(space, np.array([[0.0, 1e300], [1e300, 0.0]]))
-        dec = decompose(form)
-    assert np.isnan(dec.residuals["fiber_generator"])
+        form = DirichletForm.from_jump_kernel(space, jump)
+        defect = decompose(form).residuals["fiber_generator"]
+    assert np.isnan(defect)
 
 
 def test_nan_semigroup_defect_at_one_time_fails(monkeypatch, fx_twin):
@@ -440,11 +449,10 @@ def test_block_assembly_matches_naive_sum(form):
 
 
 def residual_forms():
-    """The multi-block forms, a single-block form and the tiny-mu/huge-jump NaN case."""
-    space = validate_space([("a", 1e-300), ("b", 1.0)])
-    with np.errstate(all="ignore"):
-        overflow = DirichletForm.from_jump_kernel(space, np.array([[0.0, 1e300], [1e300, 0.0]]))
-    return [*multi_block_forms(), random_form(7, 30, 1, killing_prob=0.2), overflow]
+    """The multi-block forms, a single-block form and a tiny-mu form with generator rate 1e140."""
+    space = validate_space([("a", 1e-140), ("b", 1.0)])
+    extreme = DirichletForm.from_jump_kernel(space, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    return [*multi_block_forms(), random_form(7, 30, 1, killing_prob=0.2), extreme]
 
 
 def same_bits(a: float, b: float) -> bool:
@@ -688,6 +696,18 @@ def test_couplings_below_component_threshold_split_the_measures(fraction):
     cls = classify(form)
     assert [c.recurrent for c in cls.per_component.values()] == [True, True]
     assert verify_decomposition(decompose(form)).passed
+
+
+@pytest.mark.parametrize("fraction", [0.999e-12, 0.5e-12])
+def test_fibers_drop_the_couplings_below_component_threshold(fraction):
+    # The fibers leave the dropped couplings off their diagonal too, so they
+    # carry no killing and get the verdicts of classify on the whole form.
+    form = coupled_below_threshold(fraction)
+    dec = decompose(form)
+    assert all(fiber.killing_free for fiber in dec.fibers)
+    out = classification_decomposition(dec)
+    assert out.consistent and [c.recurrent for c in out.per_fiber] == [True, True]
+    assert verify_decomposition(dec).passed
 
 
 def test_coupling_at_component_threshold_joins_the_blocks():

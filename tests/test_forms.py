@@ -485,11 +485,12 @@ def test_jump_is_the_stored_kernel_on_every_construction_path(inputs):
     [[1.0, -1.0, 0.0], [np.nextafter(-1.0, 0.0), 1.0, 0.0], [0.0, 0.0, 0.0]],
 ], ids=["signed-zero", "one-ulp"])
 def test_constructor_reads_the_kernel_from_the_symmetrization(a):
-    # A matrix symmetric within tolerance only, but not bit for bit.
+    # A matrix symmetric within tolerance only, but not bit for bit: the
+    # form stores its symmetrization, the matrix the kernel is read from.
     space = validate_space([("a", 1.0), ("b", 1.0), ("c", 1.0)])
     a = np.array(a)
     form = DirichletForm(space, a)
-    assert bits(form.matrix) == bits(a)
+    assert bits(form.matrix) == bits(0.5 * (a + a.T))
     assert_kernel_as_stored(form, symmetrized=True)
     if not np.array_equal(a, a.T):
         assert bits(form.jump) != bits(stored_jump_kernel(a))
@@ -798,6 +799,24 @@ def test_is_invariant_leakage(fx_edge):
     assert report.defects["semigroup_leakage"] > 0.1
 
 
+def test_is_invariant_checks_the_leakage_of_an_invariant_block(monkeypatch, fx_twin):
+    import ergodec.forms
+
+    from ergodec import ConsistencyError
+
+    assert is_invariant(fx_twin, ["a", "b"])[0]
+    original = ergodec.forms.semigroup
+
+    def leaky(form, t):
+        out = original(form, t)
+        out[0, 2] = 1e-6  # mass that crosses to the other block
+        return out
+
+    monkeypatch.setattr(ergodec.forms, "semigroup", leaky)
+    with pytest.raises(ConsistencyError):
+        is_invariant(fx_twin, ["a", "b"])
+
+
 def test_trivial_sets_invariant(fx_twin_kill):
     assert is_invariant(fx_twin_kill, [])[0]
     assert is_invariant(fx_twin_kill, list(fx_twin_kill.space.points))[0]
@@ -956,18 +975,24 @@ def test_classify_mixed(fx_twin_kill):
 
 
 def test_classification_disagreement_is_typed():
+    # Killing 1e-11 at the end of a path gets one verdict, transient, from
+    # every function; a T_1 mass that its killing cannot explain raises.
     from ergodec import ConsistencyError, ErgodecError, ergodic_measures, validate_space
+    from ergodec.forms import _classify
 
     space = validate_space([(0, 1.0), (1, 1.0), (2, 1.0)])
     jump = np.zeros((3, 3))
     jump[0, 1] = jump[1, 0] = jump[1, 2] = jump[2, 1] = 1.0
     form = DirichletForm.from_jump_kernel(space, jump, [1e-11, 0.0, 0.0])
-    for check in (classify, ergodic_measures):
+    cls = classify(form)
+    assert cls.transient and not cls.conservative and not form.killing_free
+    assert ergodic_measures(form) == ()
+    for wrong in (np.full(3, 0.5), np.full(3, 1.0 + 1e-9)):
         with pytest.raises(ConsistencyError) as info:
-            check(form)
+            _classify(form, invariant_sets(form), wrong)
         assert isinstance(info.value, ErgodecError)
         assert info.value.defects["killing"] == pytest.approx(1e-11)
-        assert set(info.value.defects) == {"mass_defect", "energy_floor", "killing"}
+        assert set(info.value.defects) == {"mass_loss", "energy_floor", "killing"}
 
 
 @pytest.mark.parametrize("entries", [

@@ -1,0 +1,107 @@
+"""Standing fuzz properties: documents of one to five points with extreme weights.
+
+Every weight is drawn from values between 1e-300 and 1e300, zero and -0.0
+included, so the documents reach the edges of the representable range.
+Each document has a defined outcome under every command: exit 0, a typed
+validation error (exit 2) or a residual failure (exit 3), with at most one
+``error:`` line and no warning.  The library keeps its decisions
+consistent on the same forms: every block of ``invariant_sets`` passes
+``is_invariant``, ``killing_free`` is the conservative verdict of
+``classify``, and each fiber of ``decompose`` gets the verdict of its
+component unless its killing or jumps underflow in A_B / m_B.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+import warnings
+
+import numpy as np
+from hypothesis import given, seed, settings, strategies as st
+
+from ergodec import (
+    ErgodecError,
+    classification_decomposition,
+    classify,
+    decompose,
+    invariant_sets,
+    is_invariant,
+)
+from ergodec.cli import main
+from ergodec.serialize import form_from_json
+
+EXTREMES = [0.0, -0.0, 1e-300, 1e-200, 1e-100, 1e-30, 1e-11, 1e-9, 0.5, 1.0, 2.0,
+            1e9, 1e30, 1e100, 1e200, 1e300]
+values = st.sampled_from(EXTREMES)
+COMMANDS = ("decompose", "classify", "measures", "verify", "superpose")
+
+
+@st.composite
+def documents(draw):
+    n = draw(st.integers(1, 5))
+    points = [f"p{i}" for i in range(n)]
+    doc = {"space": {"points": points, "mu": draw(st.lists(values, min_size=n, max_size=n))}}
+    doc["edges"] = [[points[i], points[j], draw(values)]
+                    for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
+    if draw(st.booleans()):
+        doc["killing"] = draw(st.lists(values, min_size=n, max_size=n))
+    return doc
+
+
+def run(command: str, path: str):
+    """Exit code, stderr text and the warnings of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--input", path])
+    return code, err.getvalue(), [str(w.message) for w in caught]
+
+
+@seed(20261019)
+@settings(max_examples=150, deadline=None, database=None)
+@given(documents())
+def test_every_document_has_a_defined_outcome(doc):
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "form.json")
+        with open(path, "w") as handle:
+            json.dump(doc, handle)
+        for command in COMMANDS:
+            code, err, caught = run(command, path)
+            assert code in (0, 2, 3), (command, code, err)
+            assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), (command, err)
+            assert "criteria disagree" not in err, (command, err)
+            assert caught == [], (command, caught)
+
+
+@seed(20261019)
+@settings(max_examples=150, deadline=None, database=None)
+@given(documents())
+def test_library_decisions_agree(doc):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            form = form_from_json(doc)
+        except ErgodecError:
+            return
+        for block in invariant_sets(form):
+            assert is_invariant(form, block)[0], block
+        cls = classify(form)
+        assert form.killing_free == cls.conservative
+        try:
+            dec = decompose(form)
+        except ErgodecError:  # a weight that underflows when mu is normalized
+            return
+        # A fiber matrix is A_B / m_B: killing or jumps that underflow there are lost.
+        for idx, fiber in zip(dec.quotient._layout, dec.fibers):
+            killing = form.killing[idx]
+            lost = killing[killing > 0] / form.space.mu[idx].sum() < np.finfo(float).tiny
+            if len(invariant_sets(fiber)) > 1 or lost.any():
+                return
+        fibers = classification_decomposition(dec)
+        assert fibers.consistent
+        assert [c.transient for c in fibers.per_fiber] == [
+            c.transient for c in cls.per_component.values()
+        ]
