@@ -39,10 +39,6 @@ from .serialize import (
 
 _COMMANDS = ("decompose", "classify", "verify", "girsanov", "superpose", "measures", "gen")
 
-#: Characters of a report per write: bytes, for the ASCII JSON reports.
-_EMIT_BATCH = 1 << 16
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", help="path of the instance JSON file")
@@ -127,29 +123,15 @@ def _scalar_text(value) -> str:
     return f"{value:.12g}"
 
 
-def _batches(pieces, size: int):
-    """The text of ``pieces`` cut into strings of ``size`` characters, the last one shorter."""
-    pending, held = [], 0
-    for piece in pieces:
-        pending.append(piece)
-        held += len(piece)
-        if held >= size:
-            text = "".join(pending)
-            cut = len(text) - len(text) % size
-            for start in range(0, cut, size):
-                yield text[start:start + size]
-            pending, held = [text[cut:]], len(text) - cut
-    if held:
-        yield "".join(pending)
-
-
 def _emit(report: dict, args) -> None:
     """Write the report, ``json.dumps(report, indent=2)`` or its text lines, and a newline.
 
-    The text is written in batches of ``_EMIT_BATCH`` characters, so the
-    whole report is never held, and an unbuffered stdout still sees few
-    writes.  An output that cannot be opened or written is an
-    :class:`ErgodecError` naming it.
+    The pieces are handed to the output's buffer as they are encoded, so
+    the whole report is never held.  The JSON text is ASCII; the lines of a
+    text report are checked against the output's encoding before the first
+    one is written, so a report that cannot be encoded writes nothing.  An
+    output that cannot be opened or written is an :class:`ErgodecError`
+    naming it.
     """
     if args.format == "json":
         pieces = chain(iterencode(report), ("\n",))
@@ -158,8 +140,10 @@ def _emit(report: dict, args) -> None:
     target = args.out or "standard output"
     try:
         with open(args.out, "w") if args.out else nullcontext(sys.stdout) as handle:
-            for batch in _batches(pieces, _EMIT_BATCH):
-                handle.write(batch)
+            if args.format == "text" and handle.encoding:
+                for line in _render_text(report):
+                    line.encode(handle.encoding, handle.errors)
+            handle.writelines(pieces)
     except OSError as exc:
         raise ErgodecError(f"cannot write {target}: {exc.strerror or exc}")
     except UnicodeEncodeError as exc:
@@ -170,8 +154,10 @@ def _cmd_decompose(args) -> int:
     form = _load_form(args.input)
     dec = decompose(form)
     verification = verify_decomposition(dec, tolerance=args.tolerance)
-    fiber_classes = classification_decomposition(dec).per_fiber
-    report = decomposition_report(dec, verification, fiber_classes)
+    classes = classification_decomposition(dec)
+    if not classes.consistent:
+        raise ConsistencyError("the classifications of the form and of its fibers disagree")
+    report = decomposition_report(dec, verification, classes.per_fiber)
     _emit(report, args)
     return 0 if verification.passed else 3
 

@@ -21,13 +21,16 @@ from ._linalg import _assemble_blocks, _block, semigroup_action
 from ._stream import Seed0Stream
 from ._tolerance import RESIDUAL_TOLERANCE, TAU
 from .direct_integral import assemble_l2
-from .errors import ConsistencyError, NotInvariantError, PartitionMismatchError
+from .errors import ConsistencyError, NotInvariantError, NotRepresentableError, PartitionMismatchError
 from .forms import (
+    COMPONENT_THRESHOLD,
     Classification,
     DirichletForm,
     _classify,
     _density,
     _generator_scale,
+    _killed,
+    _largest_jump,
     _matrix_scale,
     carre_du_champ,
     classify,
@@ -127,6 +130,42 @@ class ErgodicDecomposition:
         return out
 
 
+def _check_fiber_range(form: DirichletForm, layout: tuple, masses: list) -> None:
+    """Refuse a form whose fibers A_B / m_B lose a coupling or killing to underflow.
+
+    A jump above the threshold of :func:`invariant_sets` joins its points and
+    a positive killing counted by :func:`~ergodec.forms.classify` makes its
+    block transient; divided by m_B, either one must stay at or above the
+    smallest normal float, or the fiber would split or lose its verdict.  A
+    block's rows are searched only when the threshold over m_B is below it.
+    """
+    tiny = np.finfo(float).tiny
+    points = form.space.points
+    block_mass = np.empty(form.n)
+    for idx, mass in zip(layout, masses):
+        block_mass[idx] = mass
+    lost = _killed(form) & (form.killing > 0) & (form.killing / block_mass < tiny)
+    if lost.any():
+        x = int(np.argmax(lost))
+        raise NotRepresentableError(
+            f"the fibers do not fit in floats: the killing {form.killing[x]:.3e} at "
+            f"{points[x]!r} over its block mass {block_mass[x]:.3e} underflows"
+        )
+    threshold = COMPONENT_THRESHOLD * _largest_jump(form.matrix)
+    for idx, mass in zip(layout, masses):
+        if threshold / mass >= tiny:
+            continue
+        for x in idx:
+            row = form.matrix[x, idx]
+            lost = (row < -threshold) & (row / mass > -tiny)
+            if lost.any():
+                y = idx[np.argmax(lost)]
+                raise NotRepresentableError(
+                    f"the fibers do not fit in floats: the jump {-form.matrix[x, y]:.3e} from "
+                    f"{points[x]!r} to {points[y]!r} over their block mass {mass:.3e} underflows"
+                )
+
+
 def decompose(form: DirichletForm) -> ErgodicDecomposition:
     """Split a Dirichlet form into irreducible fibers over its invariant partition.
 
@@ -143,18 +182,21 @@ def decompose(form: DirichletForm) -> ErgodicDecomposition:
 
     Fibers are not re-validated: a principal block of a validated form over
     an invariant set is Markovian and positive semidefinite by construction,
-    so no fiber runs the ``eigvalsh`` and witness search of
+    and stays bitwise symmetric when divided by m_B and given a diagonal, so
+    each fiber form wraps its matrix over the family's own fiber measure,
+    without the ``eigvalsh`` and witness search of
     :func:`~ergodec.forms.is_markovian`.  :func:`verify_decomposition` stays
-    the independent dense check of the result.
+    the independent dense check of the result.  A form whose normalized
+    measure or fibers underflow raises :class:`NotRepresentableError`.
     """
     partition = invariant_sets(form)
     scale = form.space.total_mass
     qmap, family = disintegrate_over_partition(form.space.normalized(), partition)
+    masses = [float(form.space.mu[idx].sum()) for idx in qmap._layout]
+    _check_fiber_range(form, qmap._layout, masses)
 
     fibers = []
-    for z, idx in zip(qmap.index.labels, qmap._layout):
-        raw_mass = float(form.space.mu[idx].sum())
-        fiber_space = family.fibers[z].as_space()
+    for z, idx, raw_mass in zip(qmap.index.labels, qmap._layout, masses):
         matrix = form.matrix[_block(idx)] / raw_mass
         if len(idx) < form.n:
             rows = form.matrix[idx]  # a copy
@@ -162,7 +204,7 @@ def decompose(form: DirichletForm) -> ErgodicDecomposition:
             dropped = rows.sum(axis=1)  # exactly 0 unless couplings were dropped
             if dropped.any():
                 matrix[np.diag_indices(len(idx))] += dropped / raw_mass
-        fibers.append(DirichletForm._trusted(fiber_space, matrix))
+        fibers.append(DirichletForm._unchecked(family.fibers[z], matrix))
     return ErgodicDecomposition(
         form=form,
         quotient=qmap,

@@ -278,24 +278,6 @@ class DirichletForm:
         return form
 
     @classmethod
-    def _trusted(cls, space: FiniteMeasureSpace, matrix) -> "DirichletForm":
-        """Build a form without validation, for matrices Markovian by construction.
-
-        A principal block of a validated form over an invariant set, or a
-        positive multiple of one, is symmetric, PSD and Markovian, and a
-        fiber of :func:`~ergodec.ergodic.decompose` is in range (see
-        :func:`_check_range`).  The
-        matrix is symmetrized as in :meth:`from_matrix`, and the killing and
-        the derived jump kernel are read from it as in the accept branch of
-        :func:`is_markovian`, so the result equals ``from_matrix(space,
-        matrix)`` exactly, without its ``eigvalsh`` and witness search.
-        """
-        matrix = np.asarray(matrix, dtype=float)
-        matrix = matrix + matrix.T
-        matrix *= 0.5
-        return cls._unchecked(space, matrix)
-
-    @classmethod
     def from_jump_kernel(cls, space: FiniteMeasureSpace, jump, killing=None) -> "DirichletForm":
         """Build the form of a symmetric jump kernel and optional killing vector.
 

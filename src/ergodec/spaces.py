@@ -23,6 +23,7 @@ from .errors import (
     NonPositiveWeightError,
     NotAPartitionError,
     NotPushforwardError,
+    NotRepresentableError,
 )
 
 Label = Hashable
@@ -114,8 +115,19 @@ class FiniteMeasureSpace:
         return float(np.dot(np.abs(np.asarray(f)) ** p, self.mu) ** (1.0 / p))
 
     def normalized(self) -> "FiniteMeasureSpace":
-        """The same point set carrying the probability-rescaled measure."""
-        return FiniteMeasureSpace(self.points, self.mu / self.total_mass)
+        """The same point set carrying the probability-rescaled measure.
+
+        Raises :class:`NotRepresentableError`, naming the point, when a weight
+        divided by the total mass underflows to 0.
+        """
+        mu = self.mu / self.total_mass
+        if not mu.all():
+            x = self.points[int(np.argmin(mu))]
+            raise NotRepresentableError(
+                f"the normalized measure does not fit in floats: "
+                f"mu({x!r}) / {self.total_mass:.3e} underflows to 0"
+            )
+        return FiniteMeasureSpace(self.points, mu)
 
 
 def validate_space(raw: Iterable[tuple]) -> FiniteMeasureSpace:
@@ -141,60 +153,27 @@ def validate_space(raw: Iterable[tuple]) -> FiniteMeasureSpace:
 
 
 @dataclass(frozen=True, eq=False)
-class IndexSpace:
-    """A finite index set with strictly positive weights (the base of a direct sum)."""
+class IndexSpace(FiniteMeasureSpace):
+    """The index space (Z, nu) of a direct sum: a finite measure space whose
+    points are the labels and whose weights are nu."""
 
-    labels: tuple
-    nu: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "nu", _readonly(self.nu))
-        if len(self.labels) == 0:
-            raise EmptySpaceError("an index space needs at least one label")
-        if self.nu.ndim != 1 or len(self.nu) != len(self.labels):
-            raise ValueError("index weights must align with the labels")
-        _check_weights(self.nu)
-        _check_labels(self.labels, "labels")
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
-    @cached_property
-    def _positions(self) -> dict:
-        return {z: i for i, z in enumerate(self.labels)}
+    labels = property(lambda self: self.points)
+    nu = property(lambda self: self.mu)
+    size = property(lambda self: self.n)
 
     def position(self, label) -> int:
         return self._positions[label]
 
     def weight(self, label) -> float:
-        return float(self.nu[self._positions[label]])
+        return float(self.mu[self._positions[label]])
 
 
 @dataclass(frozen=True, eq=False)
-class Fiber:
-    """A nonzero measure on a subset of points, given by support and weights."""
+class Fiber(FiniteMeasureSpace):
+    """A fiber measure: a finite measure space on a subset of the ambient points."""
 
-    support: tuple
-    weights: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "support", tuple(self.support))
-        object.__setattr__(self, "weights", _readonly(self.weights))
-        if len(self.support) == 0:
-            raise EmptySpaceError("fiber support is empty")
-        if len(self.weights) != len(self.support):
-            raise ValueError("fiber weights must align with the support")
-        _check_weights(self.weights)
-        _check_labels(self.support, "support")
-
-    @property
-    def mass(self) -> float:
-        return float(self.weights.sum())
-
-    def as_space(self) -> FiniteMeasureSpace:
-        return FiniteMeasureSpace(self.support, self.weights)
+    support = property(lambda self: self.points)
+    weights = property(lambda self: self.mu)
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,7 +199,7 @@ class MeasureFamily:
         return self.fibers[label]
 
     def fiber_spaces(self) -> tuple:
-        return tuple(self.fibers[z].as_space() for z in self.index.labels)
+        return tuple(self.fibers[z] for z in self.index.labels)
 
 
 @dataclass(frozen=True, eq=False)

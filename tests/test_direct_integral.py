@@ -123,7 +123,7 @@ def test_lp_quarter_mass_point(fx_twin):
     _, family = twin_family(fx_twin)
     f = np.array([1.0, 0.0, 0.0, 0.0])
     lhs = fx_twin.space.lp_norm(f, 4) ** 4
-    fiber = family.fibers["z0"].as_space()
+    fiber = family.fibers["z0"]
     rhs = family.index.weight("z0") * fiber.lp_norm(f[:2], 4) ** 4
     assert lhs == pytest.approx(rhs, abs=1e-14) == pytest.approx(0.25, abs=1e-14)
 

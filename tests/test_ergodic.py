@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -421,6 +422,36 @@ def test_trusted_fibers_equal_validated_fibers(form):
         assert np.array_equal(fiber.jump, expected.jump)
         assert np.array_equal(fiber.killing, expected.killing)
         assert not fiber.matrix.flags.writeable
+
+
+@pytest.mark.parametrize("form", multi_block_forms())
+def test_fiber_forms_live_on_the_family_fibers(form):
+    # Each fiber measure is built once: the fiber forms, the family and the
+    # direct-integral space of the decomposition share it.
+    from ergodec import assemble_l2
+
+    dec = decompose(form)
+    spaces = tuple(dec.family.fibers[z] for z in dec.labels)
+    assert all(fiber.space is space for fiber, space in zip(dec.fibers, spaces))
+    assert assemble_l2(dec.quotient.space, dec.family).dspace.fibers == spaces
+
+
+@pytest.mark.parametrize("mu, jump, killing, message", [
+    # Killing 1e-30 over a block mass 1e300 is 0 in the fiber, which would
+    # be conservative; a kept coupling 1e-100 there would split the fiber.
+    ([1e300], None, [1e-30], "the killing 1.000e-30 at 'p0' over its block mass 1.000e+300"),
+    ([1e300, 1.0], 1e-100, [1e-200, 2.0], "the jump 1.000e-100 from 'p0' to 'p1'"),
+])
+def test_fibers_that_underflow_are_refused(mu, jump, killing, message):
+    from ergodec import NotRepresentableError
+
+    n = len(mu)
+    space = validate_space((f"p{i}", w) for i, w in enumerate(mu))
+    kernel = np.zeros((n, n)) if jump is None else np.array([[0.0, jump], [jump, 0.0]])
+    form = DirichletForm.from_jump_kernel(space, kernel, killing)
+    assert classify(form).transient
+    with pytest.raises(NotRepresentableError, match=re.escape(message)):
+        decompose(form)
 
 
 @pytest.mark.parametrize("form", multi_block_forms())

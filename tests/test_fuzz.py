@@ -7,8 +7,9 @@ validation error (exit 2) or a residual failure (exit 3), with at most one
 ``error:`` line and no warning.  The library keeps its decisions
 consistent on the same forms: every block of ``invariant_sets`` passes
 ``is_invariant``, ``killing_free`` is the conservative verdict of
-``classify``, and each fiber of ``decompose`` gets the verdict of its
-component unless its killing or jumps underflow in A_B / m_B.
+``classify``, and every form that ``decompose`` accepts has irreducible
+fibers carrying the verdicts of their components; ``decompose`` refuses a
+form whose normalized measure or fibers A_B / m_B underflow.
 """
 
 import contextlib
@@ -18,11 +19,11 @@ import os
 import tempfile
 import warnings
 
-import numpy as np
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from ergodec import (
     ErgodecError,
+    NotRepresentableError,
     classification_decomposition,
     classify,
     decompose,
@@ -76,9 +77,19 @@ def test_every_document_has_a_defined_outcome(doc):
             assert caught == [], (command, caught)
 
 
+#: A weight of the normalized measure underflows to 0.
+NORMALIZATION_UNDERFLOW = {"space": {"points": ["a", "b"], "mu": [1e-300, 1e300]},
+                           "edges": [["a", "b", 1.0]]}
+#: The coupling of the one fiber underflows in A_B / m_B.
+FIBER_UNDERFLOW = {"space": {"points": ["p0", "p1"], "mu": [1e300, 1.0]},
+                   "edges": [["p0", "p1", 1e-100]], "killing": [1e-200, 2.0]}
+
+
 @seed(20261019)
 @settings(max_examples=150, deadline=None, database=None)
 @given(documents())
+@example(NORMALIZATION_UNDERFLOW)
+@example(FIBER_UNDERFLOW)
 def test_library_decisions_agree(doc):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -92,14 +103,9 @@ def test_library_decisions_agree(doc):
         assert form.killing_free == cls.conservative
         try:
             dec = decompose(form)
-        except ErgodecError:  # a weight that underflows when mu is normalized
+        except NotRepresentableError:
             return
-        # A fiber matrix is A_B / m_B: killing or jumps that underflow there are lost.
-        for idx, fiber in zip(dec.quotient._layout, dec.fibers):
-            killing = form.killing[idx]
-            lost = killing[killing > 0] / form.space.mu[idx].sum() < np.finfo(float).tiny
-            if len(invariant_sets(fiber)) > 1 or lost.any():
-                return
+        assert all(len(invariant_sets(fiber)) == 1 for fiber in dec.fibers)
         fibers = classification_decomposition(dec)
         assert fibers.consistent
         assert [c.transient for c in fibers.per_fiber] == [

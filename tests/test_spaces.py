@@ -6,12 +6,14 @@ import pytest
 from ergodec import (
     EmptySpaceError,
     Fiber,
+    FiniteMeasureSpace,
     IndexSpace,
     MeasureFamily,
     NonFiniteError,
     NonPositiveWeightError,
     NotAPartitionError,
     NotPushforwardError,
+    NotRepresentableError,
     QuotientMap,
     disintegrate_over_partition,
     is_separated,
@@ -190,6 +192,30 @@ def test_weights_reject_inf_and_report_first_bad_position(make):
     assert info.value.index == 0
     with pytest.raises(NonPositiveWeightError):
         make([1.0, np.nan])
+
+
+def test_index_spaces_and_fibers_are_finite_measure_spaces():
+    # The paper's names read the points and weights of one validated space.
+    index = IndexSpace(("z0", "z1"), [0.25, 0.75])
+    fiber = Fiber(("a", "b"), [0.5, 0.5])
+    for space in (index, fiber):
+        assert isinstance(space, FiniteMeasureSpace)
+        assert "__post_init__" not in type(space).__dict__
+        assert not space.mu.flags.writeable
+    assert index.labels is index.points and index.nu is index.mu
+    assert (index.size, index.position("z1"), index.weight("z1")) == (2, 1, 0.75)
+    assert fiber.support is fiber.points and fiber.weights is fiber.mu
+    assert fiber.inner([1.0, 2.0], [1.0, 1.0]) == 1.5
+    with pytest.raises(AttributeError):
+        index.nu = np.ones(2)
+
+
+def test_normalized_names_the_point_whose_weight_underflows():
+    space = validate_space([("a", 1e-300), ("b", 1e300)])
+    with pytest.raises(NotRepresentableError, match="mu\\('a'\\)") as info:
+        space.normalized()
+    assert "non-positive" not in str(info.value)
+    assert np.array_equal(validate_space([("a", 1.0), ("b", 3.0)]).normalized().mu, [0.25, 0.75])
 
 
 def test_quotient_layout_matches_blocks(fx_grid):
