@@ -39,29 +39,21 @@ def _assemble_blocks(out: np.ndarray, layout, blocks) -> np.ndarray:
     return out
 
 
-def _solve(eigensolver, matrix: np.ndarray):
-    """``eigensolver(matrix)``; a solver that fails to converge refuses the form.
-
-    The range check of a form keeps its matrices finite, but entries many
-    hundreds of orders of magnitude apart can still defeat LAPACK.
-    """
-    try:
-        return eigensolver(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NotRepresentableError(f"the eigendecomposition failed: {exc}") from None
-
-
 def symmetrized_eig(matrix: np.ndarray, mu: np.ndarray):
     """Eigendecomposition of D^{-1/2} A D^{-1/2}, D = diag(mu).
 
-    Returns ``(w, V, sqrt_mu)`` with eigenvalues ``w`` clipped at zero (the
-    operator is positive semidefinite up to roundoff) in ascending order.
+    Returns ``(w, V, sqrt_mu)`` with ``w`` ascending, as ``eigh`` gives it:
+    the functions of the operator below clip ``w`` at zero, and the energy
+    floor of :func:`~ergodec.forms.classify` reads it unclipped.
     """
     sqrt_mu = np.sqrt(mu)
     sym = matrix / sqrt_mu[:, None]
     sym /= sqrt_mu[None, :]
-    w, v = _solve(np.linalg.eigh, sym)
-    return np.clip(w, 0.0, None), v, sqrt_mu
+    try:
+        w, v = np.linalg.eigh(sym)
+    except np.linalg.LinAlgError as exc:  # entries hundreds of orders of magnitude apart
+        raise NotRepresentableError(f"the eigendecomposition failed: {exc}") from None
+    return w, v, sqrt_mu
 
 
 #: Semigroup weights exp(-t w) below this are set to zero.
@@ -69,8 +61,8 @@ _WEIGHT_FLUSH = 1e-150
 
 
 def _semigroup_weights(w: np.ndarray, t: float) -> np.ndarray:
-    """exp(-t w), with the weights below ``_WEIGHT_FLUSH`` set to zero."""
-    e = np.exp(-t * w)
+    """exp(-t w) for w clipped at zero, with the weights below ``_WEIGHT_FLUSH`` set to zero."""
+    e = np.exp(-t * np.clip(w, 0.0, None))
     e[e < _WEIGHT_FLUSH] = 0.0
     return e
 
@@ -111,9 +103,9 @@ def semigroup_action(eig, t: float, x: np.ndarray, *, transpose: bool = False) -
 
 
 def resolvent_from_eig(eig, alpha: float) -> np.ndarray:
-    """(alpha - L)^{-1} from the symmetrized eigendecomposition of -L."""
+    """(alpha - L)^{-1} from the symmetrized eigendecomposition of -L, w clipped at zero."""
     w, v, sqrt_mu = eig
-    core = (v / (alpha + w)) @ v.T
+    core = (v / (alpha + np.clip(w, 0.0, None))) @ v.T
     core /= sqrt_mu[:, None]
     core *= sqrt_mu[None, :]
     return core

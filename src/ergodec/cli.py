@@ -63,6 +63,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_flags(args) -> None:
+    """Refuse the flag values that have no defined outcome."""
+    if not 0.0 <= args.tolerance < float("inf"):
+        raise ErgodecError(f"--tolerance must be a finite number >= 0, got {args.tolerance!r}")
+    for flag, value in vars(args).items():
+        if flag in ("killing_prob", "density") and not 0.0 <= value <= 1.0:
+            raise ErgodecError(f"--{flag.replace('_', '-')} must lie in [0, 1], got {value!r}")
+
+
 def _fail(message: str, code: int = 2) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
@@ -279,6 +288,7 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         return _HANDLERS[args.command](args)
     except NotMarkovianError as exc:
         if exc.witness is not None:

@@ -26,12 +26,12 @@ from .forms import (
     COMPONENT_THRESHOLD,
     Classification,
     DirichletForm,
-    _classify,
     _density,
     _generator_scale,
     _killed,
     _largest_jump,
     _matrix_scale,
+    _split_block,
     carre_du_champ,
     classify,
     girsanov_transform,
@@ -60,6 +60,20 @@ def _generator_defect(form: DirichletForm, idx: np.ndarray, fiber: DirichletForm
     defect = np.negative(fiber.matrix)
     defect /= fiber.space.mu[:, None]
     return _max_abs_difference(defect, block_generator)
+
+
+def _reassembled_energy(quotient: QuotientMap, fibers, f, g) -> float:
+    """sum_z nu(z) E_z(f, g restricted to z) over the fiber forms of a quotient."""
+    f = np.asarray(f, dtype=float)
+    g = f if g is None else np.asarray(g, dtype=float)
+    blocks = zip(quotient.index.nu, quotient._layout, fibers)
+    return sum(float(w) * fiber.energy(f[idx], g[idx]) for w, idx, fiber in blocks)
+
+
+def _reassembled_matrix(quotient: QuotientMap, fibers) -> np.ndarray:
+    """sum_z nu(z) A_z, the fiber matrices of a quotient weighted and assembled."""
+    n, weighted = quotient.space.n, (w * f.matrix for w, f in zip(quotient.index.nu, fibers))
+    return _assemble_blocks(np.zeros((n, n)), quotient._layout, weighted)
 
 
 def _worst(residuals) -> float:
@@ -114,18 +128,10 @@ class ErgodicDecomposition:
         return dict(zip(self.labels, self.fibers))
 
     def reassembled_energy(self, f, g=None) -> float:
-        f = np.asarray(f, dtype=float)
-        g = f if g is None else np.asarray(g, dtype=float)
-        total = 0.0
-        for z, fiber in zip(self.labels, self.fibers):
-            idx = self.quotient.block_indices(z)
-            total += self.quotient.index.weight(z) * fiber.energy(f[idx], g[idx])
-        return self.normalization_scale * total
+        return self.normalization_scale * _reassembled_energy(self.quotient, self.fibers, f, g)
 
     def reassembled_matrix(self) -> np.ndarray:
-        n = self.form.n
-        weighted = (w * fiber.matrix for w, fiber in zip(self.quotient.index.nu, self.fibers))
-        out = _assemble_blocks(np.zeros((n, n)), self.quotient._layout, weighted)
+        out = _reassembled_matrix(self.quotient, self.fibers)
         out *= self.normalization_scale
         return out
 
@@ -176,8 +182,8 @@ def decompose(form: DirichletForm) -> ErgodicDecomposition:
     blocks of the global semigroup on the probability fibers (checked via
     the generator blocks in :attr:`ErgodicDecomposition.residuals`).  The
     jump weights that :func:`~ergodec.forms.invariant_sets` treats as zero
-    are taken off the diagonal as well, so a fiber carries the killing of
-    its points and no more, and gets the verdicts of
+    are taken off the diagonal as well (see ``_split_block``), so a fiber
+    carries the killing of its points and no more, and gets the verdicts of
     :func:`~ergodec.forms.classify` on the whole form.
 
     Fibers are not re-validated: a principal block of a validated form over
@@ -195,16 +201,8 @@ def decompose(form: DirichletForm) -> ErgodicDecomposition:
     masses = [float(form.space.mu[idx].sum()) for idx in qmap._layout]
     _check_fiber_range(form, qmap._layout, masses)
 
-    fibers = []
-    for z, idx, raw_mass in zip(qmap.index.labels, qmap._layout, masses):
-        matrix = form.matrix[_block(idx)] / raw_mass
-        if len(idx) < form.n:
-            rows = form.matrix[idx]  # a copy
-            rows[:, idx] = 0.0
-            dropped = rows.sum(axis=1)  # exactly 0 unless couplings were dropped
-            if dropped.any():
-                matrix[np.diag_indices(len(idx))] += dropped / raw_mass
-        fibers.append(DirichletForm._unchecked(family.fibers[z], matrix))
+    fibers = [DirichletForm._unchecked(family.fibers[z], _split_block(form.matrix, idx, raw_mass))
+              for z, idx, raw_mass in zip(qmap.index.labels, qmap._layout, masses)]
     return ErgodicDecomposition(
         form=form,
         quotient=qmap,
@@ -383,9 +381,7 @@ class WeightedDecomposition:
     @cached_property
     def residuals(self) -> dict:
         """The max-abs defect of the lifted fibers' energy reassembly, computed on first access."""
-        quotient, n = self.base.quotient, self.form.n
-        weighted = (w * fiber.matrix for w, fiber in zip(quotient.index.nu, self.lifted_forms))
-        reassembled = _assemble_blocks(np.zeros((n, n)), quotient._layout, weighted)
+        reassembled = _reassembled_matrix(self.base.quotient, self.lifted_forms)
         return {"form_reassembly": _max_abs_difference(reassembled, self.form.matrix)}
 
     @property
@@ -393,13 +389,7 @@ class WeightedDecomposition:
         return self.base.quotient.index.nu
 
     def reassembled_energy(self, f, g=None) -> float:
-        f = np.asarray(f, dtype=float)
-        g = f if g is None else np.asarray(g, dtype=float)
-        total = 0.0
-        for z, fiber in zip(self.labels, self.lifted_forms):
-            idx = self.base.quotient.block_indices(z)
-            total += self.base.quotient.index.weight(z) * fiber.energy(f[idx], g[idx])
-        return total
+        return _reassembled_energy(self.base.quotient, self.lifted_forms, f, g)
 
 
 def decompose_weighted(form: DirichletForm, phi) -> WeightedDecomposition:
@@ -498,52 +488,34 @@ class ErgodicMeasure:
     weights: np.ndarray
 
 
+def _stationarity_defect(eig, x: np.ndarray) -> float:
+    """max |T_1^T x - x| on one block, T_1^T applied from the block's eigendecomposition."""
+    return float(np.abs(semigroup_action(eig, 1.0, x, transpose=True) - x).max())
+
+
 def ergodic_measures(form: DirichletForm) -> tuple:
     """All ergodic invariant probability measures of the semigroup.
 
     The invariant densities form the kernel of the generator: constants on
     each killing-free component, zero on components carrying killing.  The
-    ergodic ones are the normalized restrictions of the reference measure
-    to the killing-free components; invariance of each returned measure is
-    verified against the semigroup on the standard basis.
-
-    The work runs component by component on the fibers of
-    :func:`decompose`: the semigroup is the direct sum of the fiber
-    semigroups, so each component needs only its own eigendecomposition,
-    from which T_1 is applied to vectors.
+    ergodic ones are the normalized restrictions w = mu_B / m_B of the
+    reference measure to the components :func:`~ergodec.forms.classify`
+    finds recurrent, and T_1^T w is applied from the block eigendecomposition
+    it read.  T_1 is self-adjoint in L2(mu), so the stationarity defect of w
+    is w (1 - T_1 1), at most the mass defect of the component; a defect past
+    it by more than TAU (1 + gamma), with gamma = max A(x, x) / mu(x), raises
+    :class:`ConsistencyError`.  What :func:`decompose` refuses is refused.
     """
-    return _ergodic_measures(decompose(form))
-
-
-def _time_one_transpose(fiber: DirichletForm, x: np.ndarray) -> np.ndarray:
-    """T_1^T x on one fiber, applied from the fiber's eigendecomposition."""
-    return semigroup_action(fiber._eig, 1.0, x, transpose=True)
-
-
-def _ergodic_measures(dec: ErgodicDecomposition) -> tuple:
-    """:func:`ergodic_measures` of ``dec.form``, from the time-one actions of its fibers.
-
-    The components are classified as :func:`~ergodec.forms.classify` does,
-    with the mass T_1 1 of each fiber in place of the rows of the global
-    T_1.  T_1 is self-adjoint in L2(mu), so the stationarity defect of
-    w = mu_B / m_B is w (1 - T_1 1), at most the mass defect of the
-    component; a defect past it by more than TAU (1 + gamma), with gamma =
-    max A(x, x) / mu(x), raises :class:`ConsistencyError`.
-    """
-    form, layout = dec.form, dec.quotient._layout
-    t1_mass = np.empty(form.n)
-    for idx, fiber in zip(layout, dec.fibers):
-        t1_mass[idx] = semigroup_action(fiber._eig, 1.0, np.ones(len(idx)))
-    blocks = tuple(dec.quotient.blocks[z] for z in dec.labels)
-    classes = _classify(form, blocks, t1_mass).per_component.values()
-    slack = TAU * (1.0 + _generator_scale(form))
+    decompose(form)  # refuses a form whose normalized measure or fibers underflow
+    classes = classify(form).per_component.values()
+    mu, slack = form.space.mu, TAU * (1.0 + _generator_scale(form))
     out = []
-    for idx, fiber, comp in zip(layout, dec.fibers, classes):
+    for (idx, eig), comp in zip(form._block_eigs, classes):
         if comp.transient:
             continue
         weights = np.zeros(form.n)
-        weights[idx] = form.space.mu[idx] / form.space.mu[idx].sum()
-        defect = float(np.abs(_time_one_transpose(fiber, weights[idx]) - weights[idx]).max())
+        weights[idx] = mu[idx] / mu[idx].sum()
+        defect = _stationarity_defect(eig, weights[idx])
         if not defect <= comp.mass_defect + slack:
             raise ConsistencyError(
                 f"stationarity check failed on component {comp.points}", {"stationarity": defect}
@@ -577,10 +549,10 @@ def decompose_invariant_measure(
 ) -> InvariantMeasureMixture:
     """Write an invariant measure as a mixture of the ergodic measures.
 
-    The ergodic measures are found first, as :func:`ergodic_measures`
-    finds them, and their checks raise first.  Then the measure is checked
-    for invariance under the time-one semigroup on the standard basis,
-    fiber by fiber; the mixture weight of an ergodic component is the total
+    The ergodic measures are found first, by :func:`ergodic_measures`, and
+    their checks raise first.  Then the measure is checked for invariance
+    under the time-one semigroup, block by block from the same
+    eigendecompositions; the mixture weight of an ergodic component is the total
     mass the measure gives it, and the reconstruction is exact.
     :attr:`InvariantMeasureMixture.ergodic` holds the ergodic measures.
 
@@ -594,20 +566,15 @@ def decompose_invariant_measure(
         raise ValueError("measure must be a weight vector over the points")
     if np.any(eta < 0):
         raise ValueError("measure weights must be nonnegative")
-    dec = decompose(form)
-    measures = _ergodic_measures(dec)
-    defect = _worst(float(np.abs(_time_one_transpose(fiber, eta[idx]) - eta[idx]).max())
-                    for idx, fiber in zip(dec.quotient._layout, dec.fibers))
+    measures = ergodic_measures(form)
+    defect = _worst(_stationarity_defect(eig, eta[idx]) for idx, eig in form._block_eigs)
     if defect > tol * float(eta.max(initial=0.0)):
         raise NotInvariantError(defect)
 
-    weights = np.array(
-        [float(eta[form.space.indices_of(m.component)].sum()) for m in measures]
-    )
+    weights = np.array([float(eta[form.space.indices_of(m.component)].sum()) for m in measures])
     mixture = InvariantMeasureMixture(measures, weights, 0.0)
     rec = mixture.reconstructed() if measures else np.zeros(form.n)
-    rec_defect = float(np.abs(rec - eta).max())
-    object.__setattr__(mixture, "reconstruction_defect", rec_defect)
+    object.__setattr__(mixture, "reconstruction_defect", float(np.abs(rec - eta).max()))
     return mixture
 
 
@@ -673,8 +640,5 @@ def classification_decomposition(dec: ErgodicDecomposition) -> DecompositionClas
     )
     cons, trans = [], []
     for z, c in zip(dec.labels, per_fiber):
-        block = dec.quotient.blocks[z]
-        (cons if c.recurrent else trans).extend(block)
-    return DecompositionClassification(
-        overall, per_fiber, tuple(cons), tuple(trans), consistent
-    )
+        (cons if c.recurrent else trans).extend(dec.quotient.blocks[z])
+    return DecompositionClassification(overall, per_fiber, tuple(cons), tuple(trans), consistent)

@@ -23,7 +23,6 @@ import numpy as np
 
 from ._linalg import (
     _block,
-    _solve,
     resolvent_from_eig,
     semigroup_action,
     semigroup_from_eig,
@@ -82,6 +81,22 @@ def _check_range(matrix, space: FiniteMeasureSpace) -> None:
 def _killed(form: DirichletForm) -> np.ndarray:
     """The points that carry killing: k(x) > TAU * A(x, x), or k(x) / mu(x) > TAU * |L(x, x)|."""
     return form.killing > TAU * np.diagonal(form.matrix)
+
+
+def _split_block(matrix: np.ndarray, idx: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """The block at ``idx``, over ``scale``, of the form split over its invariant blocks; a copy.
+
+    The couplings :func:`invariant_sets` dropped leave the diagonal too, so the row sums are those
+    of the matrix; a diagonal entry left below 0 by a row sum inside the margins is set to 0.
+    """
+    block = matrix[_block(idx)] / scale
+    if len(idx) < len(matrix):
+        rows = matrix[idx]  # a copy
+        rows[:, idx] = 0.0
+        dropped = rows.sum(axis=1)  # exactly 0 unless couplings were dropped
+        if dropped.any():
+            np.fill_diagonal(block, np.maximum(np.diagonal(block) + dropped / scale, 0.0))
+    return block
 
 
 def _generator_scale(form: DirichletForm) -> float:
@@ -159,7 +174,8 @@ def is_markovian(matrix, space: FiniteMeasureSpace):
     NonFiniteError
         If the matrix has a NaN or infinite entry.
     NotPSDError
-        If the symmetrized matrix has an eigenvalue below -1e-12 * norm.
+        If the symmetrized matrix has an eigenvalue below -1e-12 * norm, or
+        a diagonal entry A(x, x) = E(1_x) below 0, however small.
     """
     q = np.asarray(matrix, dtype=float)
     if q.shape != (space.n, space.n):
@@ -179,6 +195,10 @@ def is_markovian(matrix, space: FiniteMeasureSpace):
         norm = float(np.abs(evals).max())
         if evals[0] < -PSD_RTOL * max(1.0, norm):
             raise NotPSDError(float(evals[0]))
+    if (diag < 0).any():  # inside the margin above, but no indicator has negative energy
+        x = int(np.argmax(diag < 0))
+        raise NotPSDError(diag[x], f"matrix is not positive semidefinite: A(x, x) = "
+                                   f"{diag[x]:.3e} < 0 at point {space.points[x]!r}")
 
     tol = MARKOV_RTOL * _matrix_scale(q)
 
@@ -190,10 +210,11 @@ def is_markovian(matrix, space: FiniteMeasureSpace):
 
     # Positive coupling: contract e_x - t e_y back to e_x.
     pairs = off_diagonal & (q > tol) & usable
-    pair_gain = np.where(pairs, q * q / safe_diag, -np.inf)
-    # Negative row sum: push a constant above 1 at the offending point.
     rows = row_sums < -tol
-    row_gain = np.where(usable, row_sums * row_sums / safe_diag, -2.0 * row_sums - diag)
+    with np.errstate(over="ignore"):  # a gain past float max ranks first, as inf
+        pair_gain = np.where(pairs, q * q / safe_diag, -np.inf)
+        # Negative row sum: push a constant above 1 at the offending point.
+        row_gain = np.where(usable, row_sums * row_sums / safe_diag, -2.0 * row_sums - diag)
     row_gain = np.where(rows, row_gain, -np.inf)
 
     best, best_gain = None, -np.inf
@@ -359,10 +380,21 @@ class DirichletForm:
     def _invariant_sets(self) -> tuple:
         return _jump_components(self)
 
+    @cached_property
+    def _block_eigs(self) -> tuple:
+        """``(positions, eig)`` per block of :func:`invariant_sets`, split as the fibers of
+        :func:`~ergodec.ergodic.decompose` are; one block keeps ``_eig``."""
+        mu, layout = self.space.mu, [self.space.indices_of(b) for b in self._invariant_sets]
+        if len(layout) == 1:
+            return ((layout[0], self._eig),)
+        return tuple((idx, symmetrized_eig(_split_block(self.matrix, idx), mu[idx])) for idx in layout)
+
     @property
     def spectrum(self) -> np.ndarray:
-        """Eigenvalues of -L in L2(mu), ascending; kernel dimension counts components."""
-        return self._eig[0]
+        """Eigenvalues of -L in L2(mu), ascending and clipped at 0: the merged spectra of the
+        -L_B, each within the 2-norm of what the split drops (Weyl's inequality)."""
+        w = np.sort(np.concatenate([eig[0] for _, eig in self._block_eigs]), kind="stable")
+        return np.clip(w, 0.0, None)
 
     def energy(self, f, g=None) -> float:
         f = np.asarray(f, dtype=float)
@@ -480,7 +512,7 @@ def is_invariant(form: DirichletForm, subset: Iterable):
     is invariant.  The verdict is returned with the per-criterion defects.
 
     An invariant verdict is checked against the dynamics: the generator
-    differs from its split over the subset by the jumps C across the
+    differs from its split over the subset by the entries C across the
     boundary, so by Duhamel the symmetrized entries sqrt(mu(x) / mu(y))
     G(x, y) across it are at most t rho for G = T_t and rho / alpha^2 for
     the resolvent, with rho the largest row or column sum of
@@ -515,8 +547,8 @@ def is_invariant(form: DirichletForm, subset: Iterable):
         sqrt_mu = np.sqrt(form.space.mu)
         inside, outside = sqrt_mu[mask][:, None], sqrt_mu[~mask][None, :]
         ratio = inside / outside
-        jumps = np.maximum(-q[out], 0.0) / inside / outside
-        rho = float(max(jumps.sum(axis=1).max(), jumps.sum(axis=0).max()))
+        coupling = np.abs(q[out]) / inside / outside  # -q, the jumps, unless inside the margins
+        rho = float(max(coupling.sum(axis=1).max(), coupling.sum(axis=0).max()))
         gamma = _generator_scale(form)
         bounds = ([t * rho + TAU * (1.0 + t * gamma) for t in times]
                   + [rho / a ** 2 + TAU * (1.0 + gamma / a) / a for a in alphas])
@@ -610,6 +642,9 @@ def girsanov_transform(form: DirichletForm, phi) -> DirichletForm:
 
 @dataclass(frozen=True)
 class ComponentClassification:
+    """Verdicts on a block B: ``mass_defect`` is max_B |1 - T_1 1|, ``energy_floor``
+    the bottom eigenvalue of -L_B in L2(mu), not clipped at 0."""
+
     points: tuple
     conservative: bool
     transient: bool
@@ -643,42 +678,40 @@ def classify(form: DirichletForm) -> Classification:
     splits as the union of recurrent blocks plus the union of transient
     blocks, with nothing left over.
 
-    Two bounds implied by the killing K_B of each block B are checked, and a
-    violation raises :class:`ConsistencyError`: the mass defect
-    m = 1 - T_1 1 satisfies sum_B k (1 - m) - L_B <= <mu, m>_B <= K_B + L_B,
-    as <mu, m>_B integrates sum_B k T_s 1 plus the flow across the boundary
-    over s in [0, 1] and T_1 1 <= T_s 1 <= 1; the energy floor, the least
-    eigenvalue of the block matrix, lies in [0, (K_B + L_B) / |B|], the
-    Rayleigh quotient of the constant.  L_B = COMPONENT_THRESHOLD jmax |B|
-    (n - |B|) bounds the jumps :func:`invariant_sets` dropped at the
-    boundary.  The roundoff allowed is TAU (1 + gamma) sqrt(m_B M) for the
-    mass, with gamma = max A(x, x) / mu(x), block mass m_B and total mass
-    M, and TAU |B| max_B A(x, x) for the floor.  T_1 is applied to the
-    constants; no n x n T_1 is built.
+    Each block B is read from its own eigendecomposition (the global one
+    when there is one block), split as the fibers of
+    :func:`~ergodec.ergodic.decompose` are, so its row sums are those of the
+    whole matrix.  Two bounds implied by the killing K_B of the block are
+    checked, and a violation raises :class:`ConsistencyError`: the mass
+    defect m = 1 - T_1 1 satisfies sum_B k (1 - m) <= <mu, m>_B <= K_B, as
+    <mu, m>_B integrates sum_B k T_s 1 over s in [0, 1] and
+    T_1 1 <= T_s 1 <= 1; the energy floor, the bottom eigenvalue of -L_B in
+    L2(mu), lies in [0, K_B / m_B], the weighted Rayleigh quotient of the
+    constant.  The roundoff allowed is TAU (1 + gamma) sqrt(m_B M) for the
+    mass, with gamma = max A(x, x) / mu(x), block mass m_B and total mass M,
+    and TAU gamma_B, the same maximum over B, for the floor.  A floor below 0
+    may reach Gershgorin's bound for -L_B, below 0 only on a block that
+    validation let through inside its margins.
     """
-    t1_mass = semigroup_action(form._eig, 1.0, np.ones(form.n))
-    return _classify(form, invariant_sets(form), t1_mass)
+    mu, k, killed = form.space.mu, form.killing, _killed(form)
+    rates = np.diagonal(form.matrix) / mu
+    mass_slack = TAU * (1.0 + float(rates.max())) * math.sqrt(form.space.total_mass)
 
-
-def _classify(form: DirichletForm, blocks, t1_mass: np.ndarray) -> Classification:
-    """:func:`classify` over the invariant ``blocks``, given the time-one masses T_1 1."""
-    mu, diag, k, killed = form.space.mu, np.diagonal(form.matrix), form.killing, _killed(form)
-    cut, n = COMPONENT_THRESHOLD * _largest_jump(form.matrix), form.n
-    mass_slack = TAU * (1.0 + _generator_scale(form)) * math.sqrt(form.space.total_mass)
-
-    per = {}
-    cons_points, trans_points = [], []
-    for i, block in enumerate(blocks):
-        idx = form.space.indices_of(block)
-        t1, mass, killing = t1_mass[idx], float(mu[idx].sum()), float(k[idx].sum())
-        leak, slack = cut * len(idx) * (n - len(idx)), mass_slack * math.sqrt(mass)
+    per, cons_points, trans_points = {}, [], []
+    for i, (block, (idx, eig)) in enumerate(zip(invariant_sets(form), form._block_eigs)):
+        t1 = semigroup_action(eig, 1.0, np.ones(len(idx)))
+        mass, killing = float(mu[idx].sum()), float(k[idx].sum())
+        slack = mass_slack * math.sqrt(mass)
         with np.errstate(over="ignore", invalid="ignore"):  # overflows only where slack is inf
             lost, kept = mass - float(mu[idx] @ t1), float(k[idx] @ t1)
-        energy_floor = float(_solve(np.linalg.eigvalsh, form.matrix[_block(idx)])[0])
-        floor_slack = TAU * len(idx) * float(diag[idx].max())
-        if (lost > killing + leak + slack or lost < kept - leak - slack
-                or energy_floor < -floor_slack
-                or energy_floor > (killing + leak) / len(idx) + floor_slack):
+        energy_floor, floor_slack = float(eig[0][0]), TAU * float(rates[idx].max())
+        lowest = -floor_slack
+        if energy_floor < lowest:  # inside the validation margins: Gershgorin's bound for -L_B
+            a = _split_block(form.matrix, idx)
+            gershgorin = (2.0 * np.diagonal(a) - np.abs(a).sum(axis=1)) / mu[idx]
+            lowest += min(float(gershgorin.min()), 0.0)
+        if (lost > killing + slack or lost < kept - slack
+                or energy_floor < lowest or energy_floor > killing / mass + floor_slack):
             raise ConsistencyError(
                 f"classification criteria disagree on block {block}",
                 {"mass_loss": lost, "energy_floor": energy_floor, "killing": killing},

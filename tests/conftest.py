@@ -198,9 +198,9 @@ def spy_actions(monkeypatch):
 
 
 def unflushed_semigroup_from_eig(eig, t):
-    """e^{tL} from the eigendecomposition with every weight exp(-t w) kept."""
+    """e^{tL} from the eigendecomposition with every weight exp(-t w) kept, w clipped at 0."""
     w, v, sqrt_mu = eig
-    core = (v * np.exp(-t * w)) @ v.T
+    core = (v * np.exp(-t * np.clip(w, 0.0, None))) @ v.T
     core /= sqrt_mu[:, None]
     core *= sqrt_mu[None, :]
     return core

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from ergodec import decompose, verify_decomposition
+from ergodec import decompose, random_form, verify_decomposition
 from ergodec.cli import main
 from ergodec.serialize import form_from_json, form_to_json
 
@@ -341,33 +341,83 @@ def test_edge_to_unknown_point_exits_2(tmp_path, command):
     assert proc.stdout == ""
 
 
-def test_measures_builds_time_one_semigroup_once_per_fiber(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("command", ["classify", "decompose", "verify", "measures", "superpose"])
+def test_negative_diagonal_inside_the_psd_margin_exits_2(tmp_path, capsys, command):
+    # The killing -2.4e-62 of an isolated point is its diagonal entry, which
+    # the PSD margin lets through; every command refuses it the same way.
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({"space": {"points": ["a"], "mu": [1.0]}, "killing": [-2.4e-62]}))
+    assert main([command, "--input", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: matrix is not positive semidefinite: A(x, x) = -2.400e-62 < 0 at point 'a'\n"
+    )
+
+
+_GEN = ["gen", "--n", "5", "--components", "1"]
+
+
+FLAG_CASES = [
+    (["verify", "--tolerance", "nan"], "--tolerance must be a finite number >= 0, got nan"),
+    (["decompose", "--tolerance", "nan"], "--tolerance must be a finite number >= 0, got nan"),
+    (["verify", "--tolerance", "-1"], "--tolerance must be a finite number >= 0, got -1.0"),
+    (["superpose", "--tolerance", "nan"], "--tolerance must be a finite number >= 0, got nan"),
+    (["measures", "--tolerance", "-1"], "--tolerance must be a finite number >= 0, got -1.0"),
+    (["classify", "--tolerance", "inf"], "--tolerance must be a finite number >= 0, got inf"),
+    ([*_GEN, "--density", "2"], "--density must lie in [0, 1], got 2.0"),
+    ([*_GEN, "--density", "-1"], "--density must lie in [0, 1], got -1.0"),
+    ([*_GEN, "--density", "nan"], "--density must lie in [0, 1], got nan"),
+    ([*_GEN, "--killing-prob", "2"], "--killing-prob must lie in [0, 1], got 2.0"),
+    ([*_GEN, "--killing-prob", "nan"], "--killing-prob must lie in [0, 1], got nan"),
+]
+
+
+@pytest.mark.parametrize("argv, message", FLAG_CASES, ids=[" ".join(a) for a, _ in FLAG_CASES])
+def test_flag_without_a_defined_outcome_exits_2(tmp_path, capsys, fx_twin, argv, message):
+    assert main([*argv, "--input", write_form(tmp_path, fx_twin)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# The sizes of the eigh calls of each command, from the size n of the form
+# and the sizes of its invariant blocks.  verify_decomposition, the dense
+# oracle, takes the global eigendecomposition and one per fiber; classify
+# takes one per block, which on a form with one block is the global one.
+# In decompose each fiber classifies itself from the eigendecomposition the
+# oracle cached, and measures reads the blocks that classify read.
+EIGH_SIZES = {
+    "decompose": lambda n, blocks: [n, *blocks, *(blocks if len(blocks) > 1 else [])],
+    "verify": lambda n, blocks: [n, *blocks],
+    "classify": lambda n, blocks: blocks,
+    "measures": lambda n, blocks: blocks,
+    "superpose": lambda n, blocks: [],
+    "girsanov": lambda n, blocks: [],
+}
+EIGEN_FORMS = {
+    "single-block": lambda: random_form(2, 25, 1),
+    "multi-block": lambda: random_form(1, 30, 4, 0.3),
+}
+
+
+@pytest.mark.parametrize("command", sorted(EIGH_SIZES))
+@pytest.mark.parametrize("instance", sorted(EIGEN_FORMS))
+def test_eigendecompositions_of_each_command(tmp_path, monkeypatch, instance, command):
     import ergodec.forms
 
-    from ergodec import random_form
+    from ergodec import invariant_sets
 
-    from conftest import spy_actions
-
-    form = random_form(2, 30, 4)
-    assert form.killing_free
+    form = EIGEN_FORMS[instance]()
     path = write_form(tmp_path, form)
-    blocks = sorted(len(idx) for idx in decompose(form).quotient._layout)
-    products = spy(monkeypatch, ergodec.forms, "semigroup_from_eig", lambda eig, t: len(eig[0]))
-    actions = spy_actions(monkeypatch)
+    blocks = [len(block) for block in invariant_sets(form)]
+    assert (len(blocks) == 1) == (instance == "single-block")
     eigh = spy(monkeypatch, np.linalg, "eigh", len)
     eigvalsh = spy(monkeypatch, np.linalg, "eigvalsh", len)
-    assert main(["measures", "--input", path]) == 0
-    # T_1 applied to the constants once per component, its transpose for the
-    # stationarity and the invariance checks; no T_1 matrix is built, and
-    # nothing is n-sized.
-    assert sorted(n for n, t, transpose in actions if not transpose) == blocks
-    assert sorted(n for n, t, transpose in actions if transpose) == sorted(blocks * 2)
-    assert {t for _, t, _ in actions} == {1.0}
-    assert sum(blocks) == form.n and max(blocks) < form.n
-    assert products == []
-    assert sorted(eigh) == blocks
-    assert max(eigvalsh) < form.n
-    assert json.loads(capsys.readouterr().out)["mu_mixture"] is not None
+    products = spy(monkeypatch, ergodec.forms, "semigroup_from_eig", lambda eig, t: len(eig[0]))
+    phi = ["--phi", "random"] if command == "girsanov" else []
+    code = main([command, "--input", path, "--out", str(tmp_path / "out.json"), *phi])
+    assert code == (2 if command == "girsanov" and not form.killing_free else 0)
+    assert sorted(eigh) == sorted(EIGH_SIZES[command](form.n, blocks))
+    assert eigvalsh == []
+    if command in ("classify", "measures"):
+        assert products == []  # T_1 is applied to vectors, never built as a matrix
 
 
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])

@@ -668,25 +668,22 @@ CLASSIFY_VERDICTS = {
 
 @pytest.mark.parametrize("instances", sorted(CLASSIFY_VERDICTS))
 def test_classify_verdicts_are_pinned(instances):
-    # classify applies T_1 to the constants; the row sums of the dense T_1
-    # are the reference.  The verdicts agree, and every mass defect is far
-    # from the tolerance 1e-10 on either side.
-    from ergodec.forms import _classify, semigroup
+    # classify applies T_1 to the constants block by block; the row sums of
+    # the dense global T_1 are the reference.  Every mass defect agrees with
+    # the dense one and is far from the tolerance 1e-10 on either side.
+    from ergodec.forms import semigroup
 
     make, recurrent = CLASSIFY_VERDICTS[instances]
-    forms = make()
     counts = []
-    for form in forms:
-        applied = classify(form).per_component.values()
+    for form in make():
+        classes = classify(form).per_component.values()
         dense_mass = semigroup(form, 1.0) @ np.ones(form.n)
-        dense = _classify(form, invariant_sets(form), dense_mass).per_component.values()
-        for a, b in zip(applied, dense, strict=True):
-            assert (a.points, a.conservative, a.transient, a.recurrent) == (
-                b.points, b.conservative, b.transient, b.recurrent
-            )
-            assert abs(a.mass_defect - b.mass_defect) <= 1e-13
-            assert a.mass_defect <= 1e-12 if a.conservative else a.mass_defect >= 1e-2
-        counts.append(sum(c.recurrent for c in applied))
+        for c in classes:
+            dense = float(np.abs(dense_mass[form.space.indices_of(c.points)] - 1.0).max())
+            assert abs(c.mass_defect - dense) <= 1e-13
+            assert c.recurrent == c.conservative != c.transient
+            assert c.mass_defect <= 1e-12 if c.conservative else c.mass_defect >= 1e-2
+        counts.append(sum(c.recurrent for c in classes))
     assert counts == recurrent
 
 
@@ -747,6 +744,33 @@ def test_coupling_at_component_threshold_joins_the_blocks():
     assert len(ergodic_measures(form)) == 1
 
 
+@pytest.mark.parametrize("form", [
+    *multi_block_forms(),
+    random_form(2, 25, 1),
+    coupled_below_threshold(0.999e-12),
+    coupled_below_threshold(1e-14),
+], ids=lambda form: f"n{form.n}-blocks{len(invariant_sets(form))}")
+def test_merged_spectrum_is_within_weyl_bound_of_the_global_one(form):
+    # The merged block spectra and the spectrum of the whole symmetrized
+    # matrix S differ by at most the 2-norm of what the split drops, the
+    # part of S off the blocks and the dropped couplings on the diagonal
+    # (Weyl's inequality), plus roundoff of TAU times the scale of S.
+    from ergodec._tolerance import TAU
+    from ergodec.forms import _generator_scale, _split_block
+
+    sqrt_mu = np.sqrt(form.space.mu)
+    split = np.zeros((form.n, form.n))
+    for block in invariant_sets(form):
+        idx = form.space.indices_of(block)
+        split[np.ix_(idx, idx)] = _split_block(form.matrix, idx)
+    scale = sqrt_mu[:, None] * sqrt_mu[None, :]
+    sym, dropped = form.matrix / scale, (form.matrix - split) / scale
+    bound = np.linalg.norm(dropped, 2) + TAU * _generator_scale(form)
+    merged = form.spectrum
+    assert np.all(np.diff(merged) >= 0.0) and merged.min() >= 0.0
+    assert np.abs(merged - np.clip(np.linalg.eigvalsh(sym), 0.0, None)).max() <= bound
+
+
 def test_measures_run_no_global_eigendecomposition(monkeypatch):
     import ergodec.forms
 
@@ -768,25 +792,6 @@ def test_measures_run_no_global_eigendecomposition(monkeypatch):
     assert sorted(n for n, t, transpose in actions if transpose) == sorted(blocks * 2)
     assert {t for _, t, _ in actions} == {1.0}
     assert sizes and max(sizes) < form.n
-    assert products == []
-
-
-@pytest.mark.parametrize("killing_prob", [0.0, 0.3])
-def test_classify_builds_no_time_one_matrix(monkeypatch, killing_prob):
-    import ergodec.forms
-
-    from conftest import spy_actions
-
-    form = random_form(8, 40, 5, killing_prob=killing_prob)
-    dec = decompose(form)
-    products = spy(monkeypatch, ergodec.forms, "semigroup_from_eig", lambda eig, t: len(eig[0]))
-    actions = spy_actions(monkeypatch)
-    classify(form)
-    assert actions == [(form.n, 1.0, False)]
-    actions.clear()
-    assert classification_decomposition(dec).consistent
-    fibers = sorted(len(idx) for idx in dec.quotient._layout)
-    assert sorted(actions) == sorted([(form.n, 1.0, False)] + [(n, 1.0, False) for n in fibers])
     assert products == []
 
 

@@ -13,6 +13,7 @@ from ergodec import (
     NonPositivePhiError,
     NotMarkovianError,
     NotPSDError,
+    NotRepresentableError,
     beurling_deny,
     carre_du_champ,
     classify,
@@ -461,8 +462,11 @@ def test_jump_is_the_stored_kernel_on_every_construction_path(inputs):
         return
     assert_kernel_as_stored(form, symmetrized=not certified)
 
-    with np.errstate(all="ignore"):
-        fibers = decompose(form).fibers
+    try:
+        with np.errstate(all="ignore"):
+            fibers = decompose(form).fibers
+    except NotRepresentableError:  # a fiber's killing or jump underflows, as documented
+        fibers = ()
     for fiber in fibers:
         assert_kernel_as_stored(fiber, symmetrized=False)
 
@@ -976,9 +980,10 @@ def test_classify_mixed(fx_twin_kill):
 
 def test_classification_disagreement_is_typed():
     # Killing 1e-11 at the end of a path gets one verdict, transient, from
-    # every function; a T_1 mass that its killing cannot explain raises.
+    # every function.  A block eigendecomposition whose T_1 mass or energy
+    # floor the killing cannot explain raises: T_1 1 halved, T_1 1 above 1,
+    # and a floor below 0.
     from ergodec import ConsistencyError, ErgodecError, ergodic_measures, validate_space
-    from ergodec.forms import _classify
 
     space = validate_space([(0, 1.0), (1, 1.0), (2, 1.0)])
     jump = np.zeros((3, 3))
@@ -987,9 +992,13 @@ def test_classification_disagreement_is_typed():
     cls = classify(form)
     assert cls.transient and not cls.conservative and not form.killing_free
     assert ergodic_measures(form) == ()
-    for wrong in (np.full(3, 0.5), np.full(3, 1.0 + 1e-9)):
+    ((idx, (w, v, sqrt_mu)),) = form._block_eigs
+    for wrong in ((w + np.log(2.0), v, sqrt_mu), (w, v * np.sqrt(1.0 + 1e-9), sqrt_mu),
+                  (w - 1e-3, v, sqrt_mu)):
+        perturbed = DirichletForm.from_jump_kernel(space, jump, [1e-11, 0.0, 0.0])
+        vars(perturbed)["_block_eigs"] = ((idx, wrong),)
         with pytest.raises(ConsistencyError) as info:
-            _classify(form, invariant_sets(form), wrong)
+            classify(perturbed)
         assert isinstance(info.value, ErgodecError)
         assert info.value.defects["killing"] == pytest.approx(1e-11)
         assert set(info.value.defects) == {"mass_loss", "energy_floor", "killing"}

@@ -1,7 +1,8 @@
 """Standing fuzz properties: documents of one to five points with extreme weights.
 
 Every weight is drawn from values between 1e-300 and 1e300, zero and -0.0
-included, so the documents reach the edges of the representable range.
+included, so the documents reach the edges of the representable range, and
+from small negative values, which the validation margins can let through.
 Each document has a defined outcome under every command: exit 0, a typed
 validation error (exit 2) or a residual failure (exit 3), with at most one
 ``error:`` line and no warning.  The library keeps its decisions
@@ -33,8 +34,8 @@ from ergodec import (
 from ergodec.cli import main
 from ergodec.serialize import form_from_json
 
-EXTREMES = [0.0, -0.0, 1e-300, 1e-200, 1e-100, 1e-30, 1e-11, 1e-9, 0.5, 1.0, 2.0,
-            1e9, 1e30, 1e100, 1e200, 1e300]
+EXTREMES = [-1e-17, -2.4e-62, -1e-300, 0.0, -0.0, 1e-300, 1e-200, 1e-100, 1e-30, 1e-11, 1e-9,
+            0.5, 1.0, 2.0, 1e9, 1e30, 1e100, 1e200, 1e300]
 values = st.sampled_from(EXTREMES)
 COMMANDS = ("decompose", "classify", "measures", "verify", "superpose")
 
@@ -61,9 +62,38 @@ def run(command: str, path: str):
     return code, err.getvalue(), [str(w.message) for w in caught]
 
 
+#: A negative diagonal entry inside the PSD margin; it is refused.
+NEGATIVE_DIAGONAL = {"space": {"points": ["a"], "mu": [1.0]}, "killing": [-2.4e-62]}
+#: Blocks inside the validation margins with a negative eigenvalue: the
+#: energy floor is held to their Gershgorin bound.
+INDEFINITE_BLOCK = {"space": {"points": ["p0", "p1", "p2"], "mu": [1e-300] * 3},
+                    "edges": [["p1", "p2", 1e-11]], "killing": [0.0, -1e-17, -1e-17]}
+ZERO_DIAGONAL_BLOCK = {"space": {"points": ["p0", "p1"], "mu": [1.0, 1.0]},
+                       "edges": [["p0", "p1", 1e-300]], "killing": [-1e-300, -1e-300]}
+#: The dropped coupling of p1 leaves its fiber the row sum -1e-17 as its diagonal.
+FIBER_NEGATIVE_ROW_SUM = {"space": {"points": ["p0", "p1", "p2"], "mu": [1e-200, 1e-300, 1e-200]},
+                          "edges": [["p0", "p2", 1e9], ["p1", "p2", 1e-11]],
+                          "killing": [-1e-17, -1e-17, -1e-17]}
+#: The coupling -1e-17 between the blocks is a positive entry, not a jump,
+#: and the semigroup leaks across it.
+POSITIVE_COUPLING = {"space": {"points": ["p0", "p1", "p2", "p3"], "mu": [1e-11] * 4},
+                     "edges": [["p0", "p2", 1e-11], ["p1", "p3", 1e-11], ["p2", "p3", -1e-17]]}
+#: A negative weight sends the document through the contraction-witness
+#: search, whose gains q * q of the jump 1e200 overflow.
+WITNESS_GAIN_OVERFLOW = {"space": {"points": ["p0", "p1", "p2", "p3"], "mu": [1e-300] * 4},
+                         "edges": [["p0", "p1", 1e200], ["p0", "p2", -1e-17],
+                                   ["p2", "p3", 1e-11]]}
+
+
 @seed(20261019)
 @settings(max_examples=150, deadline=None, database=None)
 @given(documents())
+@example(NEGATIVE_DIAGONAL)
+@example(WITNESS_GAIN_OVERFLOW)
+@example(INDEFINITE_BLOCK)
+@example(ZERO_DIAGONAL_BLOCK)
+@example(FIBER_NEGATIVE_ROW_SUM)
+@example(POSITIVE_COUPLING)
 def test_every_document_has_a_defined_outcome(doc):
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "form.json")
@@ -90,6 +120,12 @@ FIBER_UNDERFLOW = {"space": {"points": ["p0", "p1"], "mu": [1e300, 1.0]},
 @given(documents())
 @example(NORMALIZATION_UNDERFLOW)
 @example(FIBER_UNDERFLOW)
+@example(NEGATIVE_DIAGONAL)
+@example(WITNESS_GAIN_OVERFLOW)
+@example(INDEFINITE_BLOCK)
+@example(ZERO_DIAGONAL_BLOCK)
+@example(FIBER_NEGATIVE_ROW_SUM)
+@example(POSITIVE_COUPLING)
 def test_library_decisions_agree(doc):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
