@@ -12,23 +12,15 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
+from importlib import import_module
 from itertools import chain
 
 import numpy as np
 
 from ._jsonenc import iterencode
 from ._tolerance import RESIDUAL_TOLERANCE
-from .direct_integral import superpose
-from .ergodic import (
-    classification_decomposition,
-    decompose,
-    decompose_invariant_measure,
-    ergodic_measures,
-    verify_decomposition,
-)
 from .errors import ConsistencyError, ErgodecError, NotMarkovianError
 from .forms import carre_du_champ, classify, girsanov_transform
-from .generate import random_form
 from .serialize import (
     _edge_list,
     classification_to_json,
@@ -36,6 +28,36 @@ from .serialize import (
     form_from_json,
     form_to_json,
 )
+
+
+def _deferred(module: str, name: str):
+    """A stand-in for the function ``name`` of ``module``, bound as a global of this module.
+
+    Its first call imports the module, binds the real function in its place
+    unless the global has been rebound since (a wrapper set from outside is
+    kept), and calls it.  The handlers look these globals up at call time,
+    so a command loads only the modules it runs: ``classify``, and a
+    ``verify`` that refuses its input, load neither ``ergodic`` nor
+    ``direct_integral`` nor ``generate``.
+    """
+
+    def stand_in(*args, **kwargs):
+        real = getattr(import_module(module, __package__), name)
+        if globals().get(name) is stand_in:
+            globals()[name] = real
+        return real(*args, **kwargs)
+
+    stand_in.__name__ = stand_in.__qualname__ = name
+    return stand_in
+
+
+superpose = _deferred(".direct_integral", "superpose")
+classification_decomposition = _deferred(".ergodic", "classification_decomposition")
+decompose = _deferred(".ergodic", "decompose")
+decompose_invariant_measure = _deferred(".ergodic", "decompose_invariant_measure")
+ergodic_measures = _deferred(".ergodic", "ergodic_measures")
+verify_decomposition = _deferred(".ergodic", "verify_decomposition")
+random_form = _deferred(".generate", "random_form")
 
 _COMMANDS = ("decompose", "classify", "verify", "girsanov", "superpose", "measures", "gen")
 

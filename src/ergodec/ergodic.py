@@ -136,17 +136,24 @@ class ErgodicDecomposition:
         return out
 
 
-def _check_fiber_range(form: DirichletForm, layout: tuple, masses: list) -> None:
-    """Refuse a form whose fibers A_B / m_B lose a coupling or killing to underflow.
+def _representable(form: DirichletForm) -> tuple:
+    """The probability-normalized space and the block masses m_B, in the order of
+    :func:`~ergodec.forms.invariant_sets`, of a form whose fibers fit in floats.
 
-    A jump above the threshold of :func:`invariant_sets` joins its points and
-    a positive killing counted by :func:`~ergodec.forms.classify` makes its
-    block transient; divided by m_B, either one must stay at or above the
-    smallest normal float, or the fiber would split or lose its verdict.  A
-    block's rows are searched only when the threshold over m_B is below it.
+    :meth:`~ergodec.spaces.FiniteMeasureSpace.normalized` refuses a weight
+    that underflows.  A jump above the threshold of :func:`invariant_sets`
+    joins its points and a positive killing counted by
+    :func:`~ergodec.forms.classify` makes its block transient; divided by m_B,
+    either one must stay at or above the smallest normal float, or the fiber
+    A_B / m_B would split or lose its verdict.  A block's rows are searched
+    only when the threshold over m_B is below it.  Each refusal is a
+    :class:`NotRepresentableError`.
     """
+    normalized = form.space.normalized()
     tiny = np.finfo(float).tiny
     points = form.space.points
+    layout = [form.space.indices_of(b) for b in invariant_sets(form)]
+    masses = [float(form.space.mu[idx].sum()) for idx in layout]
     block_mass = np.empty(form.n)
     for idx, mass in zip(layout, masses):
         block_mass[idx] = mass
@@ -170,6 +177,7 @@ def _check_fiber_range(form: DirichletForm, layout: tuple, masses: list) -> None
                     f"the fibers do not fit in floats: the jump {-form.matrix[x, y]:.3e} from "
                     f"{points[x]!r} to {points[y]!r} over their block mass {mass:.3e} underflows"
                 )
+    return normalized, masses
 
 
 def decompose(form: DirichletForm) -> ErgodicDecomposition:
@@ -195,12 +203,8 @@ def decompose(form: DirichletForm) -> ErgodicDecomposition:
     the independent dense check of the result.  A form whose normalized
     measure or fibers underflow raises :class:`NotRepresentableError`.
     """
-    partition = invariant_sets(form)
-    scale = form.space.total_mass
-    qmap, family = disintegrate_over_partition(form.space.normalized(), partition)
-    masses = [float(form.space.mu[idx].sum()) for idx in qmap._layout]
-    _check_fiber_range(form, qmap._layout, masses)
-
+    normalized, masses = _representable(form)
+    qmap, family = disintegrate_over_partition(normalized, invariant_sets(form))
     fibers = [DirichletForm._unchecked(family.fibers[z], _split_block(form.matrix, idx, raw_mass))
               for z, idx, raw_mass in zip(qmap.index.labels, qmap._layout, masses)]
     return ErgodicDecomposition(
@@ -208,7 +212,7 @@ def decompose(form: DirichletForm) -> ErgodicDecomposition:
         quotient=qmap,
         family=family,
         fibers=tuple(fibers),
-        normalization_scale=scale,
+        normalization_scale=form.space.total_mass,
     )
 
 
@@ -506,7 +510,7 @@ def ergodic_measures(form: DirichletForm) -> tuple:
     it by more than TAU (1 + gamma), with gamma = max A(x, x) / mu(x), raises
     :class:`ConsistencyError`.  What :func:`decompose` refuses is refused.
     """
-    decompose(form)  # refuses a form whose normalized measure or fibers underflow
+    _representable(form)
     classes = classify(form).per_component.values()
     mu, slack = form.space.mu, TAU * (1.0 + _generator_scale(form))
     out = []

@@ -20,11 +20,10 @@ names the offending field.
 from __future__ import annotations
 
 import reprlib
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .direct_integral import DecomposableOperator
-from .ergodic import DecompositionReport, ErgodicDecomposition
 from .errors import ErgodecError
 from .forms import Classification, DirichletForm
 from .spaces import (
@@ -34,6 +33,10 @@ from .spaces import (
     MeasureFamily,
     validate_space,
 )
+
+if TYPE_CHECKING:  # annotations only: the form and classify paths never load these modules
+    from .direct_integral import DecomposableOperator
+    from .ergodic import DecompositionReport, ErgodicDecomposition
 
 
 def space_to_json(space: FiniteMeasureSpace) -> dict:

@@ -649,13 +649,24 @@ def test_unreadable_input_or_unwritable_out_exits_2(tmp_path, fx_twin, case):
     assert proc.stderr.startswith("error: ") and named in proc.stderr
 
 
-NUMPY_RANDOM_PROBE = (
-    "import sys\n"
+MODULES_PROBE = (
+    "import json, sys\n"
     "from ergodec.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "print('numpy.random' in sys.modules, file=sys.stderr)\n"
+    "print(json.dumps([m for m in sys.modules if m == 'numpy.random' or m.startswith('ergodec.')]))\n"
     "sys.exit(code)\n"
 )
+
+
+def modules_loaded_by(tmp_path, command, path):
+    """Exit code of ``command`` run by ``main`` in a new interpreter, and the modules it loaded
+    (``numpy.random`` and those of ``ergodec``)."""
+    proc = subprocess.run(
+        [sys.executable, "-c", MODULES_PROBE, command, "--input", path,
+         "--out", str(tmp_path / "report.json")],
+        capture_output=True, text=True,
+    )
+    return proc.returncode, set(json.loads(proc.stdout))
 
 
 @pytest.mark.parametrize("command", ["decompose", "verify", "superpose", "classify", "measures"])
@@ -663,13 +674,51 @@ def test_commands_do_not_import_numpy_random(tmp_path, command):
     from ergodec import random_form
 
     path = write_form(tmp_path, random_form(3, 30, 3, killing_prob=0.2))
-    proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_RANDOM_PROBE, command, "--input", path,
-         "--out", str(tmp_path / "report.json")],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0
-    assert proc.stderr == "False\n"
+    code, loaded = modules_loaded_by(tmp_path, command, path)
+    assert code == 0
+    assert "numpy.random" not in loaded
+
+
+DEFERRED = {"ergodec.ergodic", "ergodec.direct_integral", "ergodec.generate"}
+
+
+@pytest.mark.parametrize("command, document, code, loads, skips", [
+    ("classify", "markov", 0, set(), DEFERRED),
+    ("verify", "non-markov", 2, set(), DEFERRED),
+    ("decompose", "markov", 0, {"ergodec.ergodic", "ergodec.direct_integral"}, {"ergodec.generate"}),
+])
+def test_commands_load_only_the_modules_they_run(tmp_path, fx_twin, command, document, code, loads, skips):
+    if document == "markov":
+        path = write_form(tmp_path, fx_twin)
+    else:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "space": {"points": ["a", "b"], "mu": [1.0, 1.0]},
+            "matrix": [[1.0, 0.5], [0.5, 1.0]],
+        }))
+    exit_code, loaded = modules_loaded_by(tmp_path, command, str(path))
+    assert exit_code == code
+    assert loads <= loaded
+    assert not skips & loaded
+
+
+def test_cli_globals_are_looked_up_at_call_time(tmp_path, monkeypatch, capsys, fx_twin):
+    import ergodec.cli as cli
+    import ergodec.ergodic
+
+    path = write_form(tmp_path, fx_twin)
+    # A stand-in not yet called, as every process starts with, binds the real function.
+    monkeypatch.setattr(cli, "decompose", cli._deferred(".ergodic", "decompose"))
+    assert main(["verify", "--input", path]) == 0
+    assert cli.decompose is ergodec.ergodic.decompose
+    # A wrapper set from outside around such a stand-in is called, and stays bound.
+    monkeypatch.setattr(cli, "decompose", cli._deferred(".ergodic", "decompose"))
+    calls = spy(monkeypatch, cli, "decompose", id)
+    wrapper = cli.decompose
+    assert main(["verify", "--input", path]) == 0
+    assert len(calls) == 1
+    assert cli.decompose is wrapper
+    capsys.readouterr()
 
 
 def test_classify_reads_its_edges_without_a_form_document(

@@ -450,8 +450,9 @@ def test_fibers_that_underflow_are_refused(mu, jump, killing, message):
     kernel = np.zeros((n, n)) if jump is None else np.array([[0.0, jump], [jump, 0.0]])
     form = DirichletForm.from_jump_kernel(space, kernel, killing)
     assert classify(form).transient
-    with pytest.raises(NotRepresentableError, match=re.escape(message)):
-        decompose(form)
+    for refused in (decompose, ergodic_measures):
+        with pytest.raises(NotRepresentableError, match=re.escape(message)):
+            refused(form)
 
 
 @pytest.mark.parametrize("form", multi_block_forms())
@@ -793,6 +794,17 @@ def test_measures_run_no_global_eigendecomposition(monkeypatch):
     assert {t for _, t, _ in actions} == {1.0}
     assert sizes and max(sizes) < form.n
     assert products == []
+
+
+def test_measures_build_no_fiber(monkeypatch):
+    import ergodec.ergodic
+
+    form = random_form(6, 40, 5, killing_prob=0.3)
+    fibers = spy(monkeypatch, ergodec.ergodic, "_split_block", lambda matrix, idx, mass: len(idx))
+    assert ergodic_measures(form)
+    assert fibers == []
+    decompose(form)
+    assert len(fibers) == 5
 
 
 def test_block_index_is_a_pair_of_slices_on_a_run():
