@@ -32,14 +32,14 @@ t1 = semigroup(form, 1.0)
 op = decompose_operator(t1, dec.quotient)
 print("operator norm (max over fibers):", op.operator_norm)
 print("commutes with index multiplications:",
-      commutes_with_diagonalizables(t1, op.dspace)[0])
+      commutes_with_diagonalizables(t1, op.family)[0])
 
 swap = np.eye(form.n)
 swap[[0, 1]] = swap[[1, 0]]  # swapping two points of different fibers
-ok, witness = commutes_with_diagonalizables(swap @ t1 @ swap, op.dspace)
+ok, witness = commutes_with_diagonalizables(swap @ t1 @ swap, op.family)
 print("perturbed operator decomposable:", ok, "witness indicator:", witness)
 
-proj = diagonalizable(op.dspace, [1.0, 0.0, 0.0])
+proj = diagonalizable(op.family, [1.0, 0.0, 0.0])
 print("projection onto first fiber, trace:", np.trace(proj.assembled))
 
 squared = functional_calculus(op, [0.0, 0.0, 1.0])

@@ -72,7 +72,6 @@ _EXPORTS = {
     "direct_integral": (
         "DecomposableOperator",
         "DirectIntegralForm",
-        "DirectIntegralSpace",
         "L2Embedding",
         "LpIsometryReport",
         "SuperpositionResult",

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 2 on validation errors (malformed input, a
-non-Markovian matrix, an infeasible generator shape), 3 when a computation
-succeeds but a residual exceeds the tolerance or two internal consistency
-checks disagree.
+non-Markovian matrix, an infeasible generator shape) and when the form does
+not fit in memory, 3 when a computation succeeds but a residual exceeds the
+tolerance or two internal consistency checks disagree.
 """
 
 from __future__ import annotations
@@ -89,6 +89,8 @@ def _check_flags(args) -> None:
     """Refuse the flag values that have no defined outcome."""
     if not 0.0 <= args.tolerance < float("inf"):
         raise ErgodecError(f"--tolerance must be a finite number >= 0, got {args.tolerance!r}")
+    if args.seed < 0:
+        raise ErgodecError(f"--seed must be an integer >= 0, got {args.seed}")
     for flag, value in vars(args).items():
         if flag in ("killing_prob", "density") and not 0.0 <= value <= 1.0:
             raise ErgodecError(f"--{flag.replace('_', '-')} must lie in [0, 1], got {value!r}")
@@ -121,7 +123,10 @@ def _parse_phi(arg, n, seed):
         raise ErgodecError("--phi is required for this command")
     if arg == "random":
         return np.random.default_rng(seed).uniform(0.5, 1.5, size=n)
-    values = np.array([float(v) for v in arg.split(",")], dtype=float)
+    try:
+        values = np.array([float(v) for v in arg.split(",")], dtype=float)
+    except ValueError:
+        raise ErgodecError(f"--phi must be comma-separated numbers or 'random', got {arg!r}") from None
     if len(values) != n:
         raise ErgodecError(f"--phi needs {n} entries, got {len(values)}")
     return values
@@ -237,7 +242,7 @@ def _cmd_girsanov(args) -> int:
     defect = 0.0
     for _ in range(20):
         f = rng.uniform(-1.0, 1.0, size=form.n)
-        direct = float(np.dot(gamma(f), phi * phi * form.space.mu))
+        direct = float(np.dot(gamma(f), transformed.space.mu))  # phi^2 mu
         defect = max(defect, abs(transformed.energy(f) - direct))
     report = {
         "transformed": form_to_json(transformed),
@@ -321,6 +326,9 @@ def main(argv=None) -> int:
         return _fail(str(exc), 3)
     except ErgodecError as exc:
         return _fail(str(exc))
+    except MemoryError:
+        source = f"of --n {args.n}" if args.command == "gen" else f"in {args.input}"
+        return _fail(f"the form {source} does not fit in memory")
 
 
 if __name__ == "__main__":

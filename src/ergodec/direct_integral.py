@@ -1,15 +1,11 @@
-"""Weighted direct sums of L2 and Lp spaces, decomposable operators, and
-direct integrals of quadratic forms over a finite index space.
+"""Embeddings into weighted direct sums of L2 and Lp spaces, decomposable
+operators, and direct integrals of quadratic forms over a finite index space.
 
-Vector fields are tuples of per-fiber vectors, ordered like the index
-labels.  The ambient Hilbert space carries the norm
-
-    ||u||^2 = sum_z nu(z) ||u_z||^2_{L2(mu_z)},
-
-so in stacked coordinates it is the L2 space of the concatenated weights
-nu(z) * mu_z.  A decomposable operator is a block family acting fiberwise;
-its assembled matrix is block diagonal in the stacked coordinates, and its
-operator norm is the maximum of the fiber norms.
+The direct-sum L2 space over a family is the
+:class:`~ergodec.spaces.MeasureFamily` itself.  A decomposable operator is a
+block family acting fiberwise; its assembled matrix is block diagonal in the
+family's stacked coordinates, and its operator norm is the maximum of the
+fiber norms.
 """
 
 from __future__ import annotations
@@ -39,62 +35,7 @@ from .errors import (
 )
 from ._tolerance import TAU
 from .forms import DirichletForm, _matrix_scale, is_markovian
-from .spaces import (
-    FiniteMeasureSpace,
-    IndexSpace,
-    MeasureFamily,
-    QuotientMap,
-    _readonly,
-    is_separated,
-)
-
-
-@dataclass(frozen=True, eq=False)
-class DirectIntegralSpace:
-    """The weighted direct sum of the L2 spaces of a family of fibers."""
-
-    index: IndexSpace
-    fibers: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "fibers", tuple(self.fibers))
-        if len(self.fibers) != self.index.size:
-            raise FiberDimensionMismatchError("one fiber space per index label required")
-
-    @cached_property
-    def dims(self) -> tuple:
-        return tuple(f.n for f in self.fibers)
-
-    @cached_property
-    def _layout(self) -> tuple:
-        """Stacked positions of every fiber in index label order: contiguous, disjoint ranges."""
-        starts = np.cumsum((0,) + self.dims[:-1])
-        return tuple(_readonly(np.arange(s, s + d), dtype=int) for s, d in zip(starts, self.dims))
-
-    @property
-    def dim(self) -> int:
-        return sum(self.dims)
-
-    @cached_property
-    def stacked_weights(self) -> np.ndarray:
-        """Pointwise weights of the stacked coordinates: nu(z) * mu_z."""
-        return np.concatenate(
-            [nu * f.mu for nu, f in zip(self.index.nu, self.fibers)]
-        )
-
-    def stack(self, field) -> np.ndarray:
-        return np.concatenate([np.asarray(u, dtype=float) for u in field])
-
-    def inner(self, u, v) -> float:
-        return float(
-            sum(
-                nu * f.inner(a, b)
-                for nu, f, a, b in zip(self.index.nu, self.fibers, u, v)
-            )
-        )
-
-    def norm(self, u) -> float:
-        return float(np.sqrt(max(self.inner(u, u), 0.0)))
+from .spaces import FiniteMeasureSpace, MeasureFamily, QuotientMap, is_separated
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +50,6 @@ class L2Embedding:
 
     space: FiniteMeasureSpace
     family: MeasureFamily
-    dspace: DirectIntegralSpace
     separated: bool
 
     @cached_property
@@ -134,10 +74,9 @@ class L2Embedding:
 
 
 def assemble_l2(space: FiniteMeasureSpace, family: MeasureFamily) -> L2Embedding:
-    """Build the direct-sum L2 space of a family and its diagonal embedding."""
-    dspace = DirectIntegralSpace(family.index, family.fiber_spaces())
+    """Build the diagonal embedding of L2(mu) into the direct sum over a family."""
     separated, _ = is_separated(family)
-    return L2Embedding(space, family, dspace, separated)
+    return L2Embedding(space, family, separated)
 
 
 @dataclass(frozen=True)
@@ -184,9 +123,7 @@ def assemble_lp(
         g = rng.uniform(-1.0, 1.0, size=space.n)
         fibered = sum(
             nu * fiber.lp_norm(u, p) ** p
-            for nu, fiber, u in zip(
-                family.index.nu, embed.dspace.fibers, embed(f)
-            )
+            for nu, fiber, u in zip(family.index.nu, family.fiber_spaces(), embed(f))
         ) ** (1.0 / p)
         defect = max(defect, abs(space.lp_norm(f, p) - fibered))
         meet = embed(np.minimum(f, g))
@@ -204,15 +141,15 @@ def assemble_lp(
 class DecomposableOperator:
     """A block family of fiber operators with its assembled global matrix."""
 
-    dspace: DirectIntegralSpace
+    family: MeasureFamily
     blocks: tuple
 
     def __post_init__(self):
         blocks = tuple(np.asarray(b, dtype=float) for b in self.blocks)
         object.__setattr__(self, "blocks", blocks)
-        if len(blocks) != self.dspace.index.size:
+        if len(blocks) != self.family.index.size:
             raise FiberDimensionMismatchError("one block per fiber required")
-        for b, d in zip(blocks, self.dspace.dims):
+        for b, d in zip(blocks, self.family.dims):
             if b.shape != (d, d):
                 raise FiberDimensionMismatchError(
                     f"block shape {b.shape} does not match fiber dimension {d}"
@@ -220,23 +157,23 @@ class DecomposableOperator:
 
     @cached_property
     def assembled(self) -> np.ndarray:
-        n = self.dspace.dim
-        return _assemble_blocks(np.zeros((n, n)), self.dspace._layout, self.blocks)
+        n = self.family.dim
+        return _assemble_blocks(np.zeros((n, n)), self.family._layout, self.blocks)
 
     @cached_property
     def operator_norm(self) -> float:
         """Norm in the direct-sum space; the ess-sup over fibers collapses to a max."""
         return max(
             weighted_operator_norm(b, f.mu)
-            for b, f in zip(self.blocks, self.dspace.fibers)
+            for b, f in zip(self.blocks, self.family.fiber_spaces())
         )
 
     def apply(self, field) -> tuple:
         return tuple(b @ np.asarray(u, dtype=float) for b, u in zip(self.blocks, field))
 
 
-def assemble_operator(dspace: DirectIntegralSpace, blocks) -> DecomposableOperator:
-    return DecomposableOperator(dspace, tuple(blocks))
+def assemble_operator(family: MeasureFamily, blocks) -> DecomposableOperator:
+    return DecomposableOperator(family, tuple(blocks))
 
 
 def decompose_operator(matrix, structure) -> DecomposableOperator:
@@ -246,9 +183,9 @@ def decompose_operator(matrix, structure) -> DecomposableOperator:
     ----------
     matrix : (n, n) array
         For a ``QuotientMap`` structure, an operator on L2(mu) in point
-        coordinates; for a ``DirectIntegralSpace``, an operator in stacked
+        coordinates; for a ``MeasureFamily``, an operator in its stacked
         coordinates.
-    structure : QuotientMap or DirectIntegralSpace
+    structure : QuotientMap or MeasureFamily
         For a ``QuotientMap``, the blocks and fibers (its ``family``) follow
         the quotient's index label order, and the operator keeps its labels.
 
@@ -260,21 +197,19 @@ def decompose_operator(matrix, structure) -> DecomposableOperator:
     """
     matrix = np.asarray(matrix, dtype=float)
     if isinstance(structure, QuotientMap):
-        dspace = DirectIntegralSpace(structure.index, structure.family.fiber_spaces())
-        layout, weights = structure._layout, structure.space.mu
+        family, layout, weights = structure.family, structure._layout, structure.space.mu
     else:
-        dspace = structure
-        layout, weights = dspace._layout, dspace.stacked_weights
+        family, layout, weights = structure, structure._layout, structure.stacked_weights
 
     blocks = tuple(matrix[_block(idx)].copy() for idx in layout)  # not views of the input
     block_part = _assemble_blocks(np.zeros_like(matrix), layout, blocks)
     off_norm = weighted_operator_norm(matrix - block_part, weights)
     if off_norm > TAU * _matrix_scale(matrix):
         raise NotDecomposableError(off_norm)
-    return DecomposableOperator(dspace, blocks)
+    return DecomposableOperator(family, blocks)
 
 
-def diagonalizable(dspace: DirectIntegralSpace, values) -> DecomposableOperator:
+def diagonalizable(family: MeasureFamily, values) -> DecomposableOperator:
     """The operator multiplying each fiber by a scalar function of the index.
 
     ``values`` is a mapping from index labels or a sequence aligned with
@@ -282,17 +217,15 @@ def diagonalizable(dspace: DirectIntegralSpace, values) -> DecomposableOperator:
     indicator of the corresponding point set.
     """
     if isinstance(values, dict):
-        scalars = [float(values[z]) for z in dspace.index.labels]
+        scalars = [float(values[z]) for z in family.index.labels]
     else:
         scalars = [float(v) for v in values]
-        if len(scalars) != dspace.index.size:
+        if len(scalars) != family.index.size:
             raise ValueError("one scalar per index label required")
-    return DecomposableOperator(
-        dspace, tuple(c * np.eye(d) for c, d in zip(scalars, dspace.dims))
-    )
+    return DecomposableOperator(family, tuple(c * np.eye(d) for c, d in zip(scalars, family.dims)))
 
 
-def commutes_with_diagonalizables(matrix, dspace: DirectIntegralSpace):
+def commutes_with_diagonalizables(matrix, family: MeasureFamily):
     """Test commutation with every fiber-indicator multiplication operator.
 
     Commutation with all of them characterizes decomposability.  Returns
@@ -302,11 +235,11 @@ def commutes_with_diagonalizables(matrix, dspace: DirectIntegralSpace):
     """
     matrix = np.asarray(matrix, dtype=float)
     scale = _matrix_scale(matrix)
-    for z, idx in zip(dspace.index.labels, dspace._layout):
-        ind = np.zeros(dspace.dim)
+    for z, idx in zip(family.index.labels, family._layout):
+        ind = np.zeros(family.dim)
         ind[idx] = 1.0
         commutator = matrix * ind[None, :] - ind[:, None] * matrix
-        if weighted_operator_norm(commutator, dspace.stacked_weights) > TAU * scale:
+        if weighted_operator_norm(commutator, family.stacked_weights) > TAU * scale:
             return False, z
     return True, None
 
@@ -329,7 +262,7 @@ def functional_calculus(
     else:
         coef = np.asarray(phi, dtype=float)
         blocks = tuple(polynomial_matrix(b, coef) for b in operator.blocks)
-    return DecomposableOperator(operator.dspace, blocks)
+    return DecomposableOperator(operator.family, blocks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,15 +273,15 @@ class DirectIntegralForm:
     of nu(z) * A_z, so Q(u) = sum_z nu(z) E_z(u_z) holds exactly.
     """
 
-    dspace: DirectIntegralSpace
+    family: MeasureFamily
     matrices: tuple
 
     def __post_init__(self):
         matrices = tuple(np.asarray(m, dtype=float) for m in self.matrices)
         object.__setattr__(self, "matrices", matrices)
-        if len(matrices) != self.dspace.index.size:
+        if len(matrices) != self.family.index.size:
             raise FiberDimensionMismatchError("one fiber form per index label required")
-        for m, d in zip(matrices, self.dspace.dims):
+        for m, d in zip(matrices, self.family.dims):
             if m.shape != (d, d):
                 raise FiberDimensionMismatchError(
                     f"fiber form shape {m.shape} does not match fiber dimension {d}"
@@ -356,22 +289,22 @@ class DirectIntegralForm:
 
     @cached_property
     def assembled_matrix(self) -> np.ndarray:
-        n = self.dspace.dim
-        weighted = (nu * m for nu, m in zip(self.dspace.index.nu, self.matrices))
-        return _assemble_blocks(np.zeros((n, n)), self.dspace._layout, weighted)
+        n = self.family.dim
+        weighted = (nu * m for nu, m in zip(self.family.index.nu, self.matrices))
+        return _assemble_blocks(np.zeros((n, n)), self.family._layout, weighted)
 
     def energy(self, field) -> float:
         return float(
             sum(
                 nu * (np.asarray(u) @ m @ np.asarray(u))
-                for nu, m, u in zip(self.dspace.index.nu, self.matrices, field)
+                for nu, m, u in zip(self.family.index.nu, self.matrices, field)
             )
         )
 
     @cached_property
     def _fiber_eigs(self) -> tuple:
         return tuple(
-            symmetrized_eig(m, f.mu) for m, f in zip(self.matrices, self.dspace.fibers)
+            symmetrized_eig(m, f.mu) for m, f in zip(self.matrices, self.family.fiber_spaces())
         )
 
     def is_dirichlet(self):
@@ -381,21 +314,21 @@ class DirectIntegralForm:
         ``(False, witness_field)`` where the witness is the lift of a
         contraction-violating vector from a bad fiber.
         """
-        for i, (m, fiber) in enumerate(zip(self.matrices, self.dspace.fibers)):
+        for i, (m, fiber) in enumerate(zip(self.matrices, self.family.fiber_spaces())):
             ok, payload = is_markovian(m, fiber)
             if not ok:
-                field = [np.zeros(d) for d in self.dspace.dims]
+                field = [np.zeros(d) for d in self.family.dims]
                 field[i] = payload
                 return False, tuple(field)
         return True, None
 
     def semigroup(self, t: float) -> DecomposableOperator:
         blocks = tuple(semigroup_from_eig(e, t) for e in self._fiber_eigs)
-        return DecomposableOperator(self.dspace, blocks)
+        return DecomposableOperator(self.family, blocks)
 
     def resolvent(self, alpha: float) -> DecomposableOperator:
         blocks = tuple(resolvent_from_eig(e, alpha) for e in self._fiber_eigs)
-        return DecomposableOperator(self.dspace, blocks)
+        return DecomposableOperator(self.family, blocks)
 
 
 def _fiber_matrix(entry, fiber: FiniteMeasureSpace) -> np.ndarray:
@@ -411,15 +344,15 @@ def _fiber_matrix(entry, fiber: FiniteMeasureSpace) -> np.ndarray:
     return m
 
 
-def assemble_form(dspace: DirectIntegralSpace, fiber_forms) -> DirectIntegralForm:
+def assemble_form(family: MeasureFamily, fiber_forms) -> DirectIntegralForm:
     """Assemble per-fiber quadratic forms (matrices or Dirichlet forms)."""
     fiber_forms = tuple(fiber_forms)
-    if len(fiber_forms) != dspace.index.size:
+    if len(fiber_forms) != family.index.size:
         raise FiberDimensionMismatchError("one fiber form per index label required")
     matrices = tuple(
-        _fiber_matrix(entry, fiber) for entry, fiber in zip(fiber_forms, dspace.fibers)
+        _fiber_matrix(entry, fiber) for entry, fiber in zip(fiber_forms, family.fiber_spaces())
     )
-    return DirectIntegralForm(dspace, matrices)
+    return DirectIntegralForm(family, matrices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -460,7 +393,7 @@ def superpose(
     if not separated:
         raise NotSeparatedError(witness=witness)
     embed = assemble_l2(space, family)
-    form = assemble_form(embed.dspace, fiber_forms)
+    form = assemble_form(family, fiber_forms)
 
     weighted = (nu * m for nu, m in zip(family.index.nu, form.matrices))
     energy_matrix = _assemble_blocks(
@@ -473,6 +406,6 @@ def superpose(
         f = rng.uniform(-1.0, 1.0, size=space.n)
         field = embed(f)
         graph_ambient = float(f @ energy_matrix @ f) + space.norm(f) ** 2
-        graph_fibered = form.energy(field) + embed.dspace.norm(field) ** 2
+        graph_fibered = form.energy(field) + family.norm(field) ** 2
         defect = max(defect, abs(graph_ambient - graph_fibered))
     return SuperpositionResult(energy_matrix, form, embed, defect)

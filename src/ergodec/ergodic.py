@@ -103,7 +103,6 @@ class ErgodicDecomposition:
 
     form: DirichletForm
     quotient: QuotientMap
-    family: MeasureFamily
     fibers: tuple
     normalization_scale: float
 
@@ -111,17 +110,21 @@ class ErgodicDecomposition:
     def labels(self) -> tuple:
         return self.quotient.index.labels
 
+    @property
+    def family(self) -> MeasureFamily:
+        return self.quotient.family
+
     @cached_property
     def residuals(self) -> dict:
-        """Max-abs defects of the energy reassembly and of the fiber generators.
-
-        Computed once, on first access; :func:`verify_decomposition` reads
-        ``form_reassembly`` instead of assembling the matrix again.
-        """
+        """Max-abs defects of the energy reassembly and of the fiber generators, on first access."""
         generator_defects = [_generator_defect(self.form, idx, fiber)
                              for idx, fiber in zip(self.quotient._layout, self.fibers)]
-        reassembly = _max_abs_difference(self.reassembled_matrix(), self.form.matrix)
-        return {"form_reassembly": reassembly, "fiber_generator": _worst(generator_defects)}
+        return {"form_reassembly": self._reassembly, "fiber_generator": _worst(generator_defects)}
+
+    @cached_property
+    def _reassembly(self) -> float:
+        """The ``form_reassembly`` residual, which :func:`verify_decomposition` reads alone."""
+        return _max_abs_difference(self.reassembled_matrix(), self.form.matrix)
 
     @cached_property
     def fiber_forms(self) -> dict:
@@ -210,7 +213,6 @@ def decompose(form: DirichletForm) -> ErgodicDecomposition:
     return ErgodicDecomposition(
         form=form,
         quotient=qmap,
-        family=family,
         fibers=tuple(fibers),
         normalization_scale=form.space.total_mass,
     )
@@ -263,7 +265,7 @@ def verify_decomposition(
     """
     form = dec.form
     n = form.n
-    form_defect = dec.residuals["form_reassembly"] / _matrix_scale(form.matrix)
+    form_defect = dec._reassembly / _matrix_scale(form.matrix)
 
     for f in (form, *dec.fibers):
         f._eig  # cached on the form for the products below
@@ -291,7 +293,7 @@ def verify_decomposition(
     isometry_defects = []
     for _ in range(trials):
         f = rng.uniform(-1.0, 1.0, size=n)
-        isometry_defects.append(abs(embed.dspace.norm(embed(f)) - normalized.norm(f)))
+        isometry_defects.append(abs(dec.family.norm(embed(f)) - normalized.norm(f)))
     isometry_defect = _worst(isometry_defects)
 
     irreducible = tuple(len(invariant_sets(fiber)) == 1 for fiber in dec.fibers)

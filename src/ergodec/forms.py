@@ -45,6 +45,8 @@ from .spaces import FiniteMeasureSpace, _readonly
 
 #: Relative threshold below which a jump weight does not join two components.
 COMPONENT_THRESHOLD = TAU
+#: The most entries of the matrix that :func:`_split_block` copies at a time (1 MiB of floats).
+_ROW_CHUNK = 2 ** 17
 
 
 def _matrix_scale(matrix) -> float:
@@ -88,12 +90,15 @@ def _split_block(matrix: np.ndarray, idx: np.ndarray, scale: float = 1.0) -> np.
 
     The couplings :func:`invariant_sets` dropped leave the diagonal too, so the row sums are those
     of the matrix; a diagonal entry left below 0 by a row sum inside the margins is set to 0.
+    Rows are copied ``_ROW_CHUNK`` entries (at least one row) at a time; no row's sum changes.
     """
     block = matrix[_block(idx)] / scale
     if len(idx) < len(matrix):
-        rows = matrix[idx]  # a copy
-        rows[:, idx] = 0.0
-        dropped = rows.sum(axis=1)  # exactly 0 unless couplings were dropped
+        dropped, step = np.empty(len(idx)), max(1, _ROW_CHUNK // len(matrix))
+        for lo in range(0, len(idx), step):
+            rows = matrix[idx[lo:lo + step]]  # a copy
+            rows[:, idx] = 0.0
+            dropped[lo:lo + step] = rows.sum(axis=1)  # exactly 0 unless couplings were dropped
         if dropped.any():
             np.fill_diagonal(block, np.maximum(np.diagonal(block) + dropped / scale, 0.0))
     return block
@@ -475,7 +480,7 @@ class CarreDuChamp:
         df = f[:, None] - f[None, :]
         dg = g[:, None] - g[None, :]
         jump_part = (self.form.jump * df * dg).sum(axis=1)
-        return (jump_part + self.form.killing * f * g) / (2.0 * self.form.space.mu)
+        return 0.5 * (jump_part + self.form.killing * f * g) / self.form.space.mu
 
     def integral(self, f, g=None) -> float:
         return float(np.dot(self(f, g), self.form.space.mu))
@@ -520,6 +525,9 @@ def is_invariant(form: DirichletForm, subset: Iterable):
     and TAU (1 + gamma / alpha) / alpha with gamma = max A(x, x) / mu(x),
     :class:`ConsistencyError` is raised.  A jump just above the threshold
     leaks no more than roundoff, so non-invariance is not cross checked.
+
+    When the eigendecomposition of the whole form fails, :class:`NotRepresentableError` is
+    raised; :func:`~ergodec.ergodic.verify_decomposition` needs it too and refuses the form.
     """
     labels = list(subset)
     mask = np.zeros(form.n, dtype=bool)
@@ -631,13 +639,15 @@ def girsanov_transform(form: DirichletForm, phi) -> DirichletForm:
         E_phi(f, g) = sum_x gamma(f, g)(x) phi(x)^2 mu(x)
 
     exactly.  Killing is refused: the reweighting identity needs the energy
-    to be carried by jumps alone.
+    to be carried by jumps alone.  A weight phi^2 mu that overflows is refused.
     """
     phi = _density(form, phi)
-    phi_sq = phi * phi
-    weight = 0.5 * (phi_sq[:, None] + phi_sq[None, :])
-    new_space = FiniteMeasureSpace(form.space.points, phi_sq * form.space.mu)
-    return DirichletForm.from_jump_kernel(new_space, form.jump * weight)
+    with np.errstate(over="ignore", invalid="ignore"):  # the validation refuses what overflows
+        phi_sq = phi * phi
+        new_space = FiniteMeasureSpace(form.space.points, phi_sq * form.space.mu)
+        weight = 0.5 * (phi_sq[:, None] + phi_sq[None, :])
+        jump = form.jump * weight
+    return DirichletForm.from_jump_kernel(new_space, jump)
 
 
 @dataclass(frozen=True)

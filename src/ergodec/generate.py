@@ -49,11 +49,13 @@ def random_form(
     Raises
     ------
     InvalidShapeError
-        If the requested shape is not realizable.
+        If the requested shape, n x n matrix included, is not realizable.
     """
     rng = np.random.default_rng(seed) if isinstance(seed, (int, np.integer)) else seed
     if not 1 <= components <= n:
         raise InvalidShapeError(f"need 1 <= components <= n, got components={components}, n={n}")
+    if n * n * 8 > np.iinfo(np.intp).max:
+        raise InvalidShapeError(f"n={n} points need an n x n matrix larger than any numpy array")
 
     sizes = np.ones(components, dtype=int)
     sizes += rng.multinomial(n - components, np.full(components, 1.0 / components))

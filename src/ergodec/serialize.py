@@ -191,9 +191,9 @@ def _check_edges(space: FiniteMeasureSpace, edges) -> None:
 
 
 def block_operator_to_json(op: DecomposableOperator) -> dict:
-    labels = op.dspace.index.labels
+    labels = op.family.index.labels
     return {
-        "nu": {str(z): float(op.dspace.index.weight(z)) for z in labels},
+        "nu": {str(z): float(op.family.index.weight(z)) for z in labels},
         "blocks": {str(z): op.blocks[i].tolist() for i, z in enumerate(labels)},
     }
 

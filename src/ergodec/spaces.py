@@ -69,7 +69,7 @@ class FiniteMeasureSpace:
         and matrix over this space.
     mu : sequence of float
         Weight of each point, aligned with ``points``.  All weights must be
-        strictly positive and finite.
+        strictly positive and finite, and so must their total mass.
     """
 
     points: tuple
@@ -83,6 +83,9 @@ class FiniteMeasureSpace:
         if self.mu.ndim != 1 or len(self.mu) != len(self.points):
             raise ValueError("weight vector must align with the point list")
         _check_weights(self.mu)
+        with np.errstate(over="ignore"):
+            if self.total_mass == np.inf:
+                raise NonFiniteError("the total mass of the weights overflows to inf")
         _check_labels(self.points, "points")
 
     @property
@@ -184,6 +187,11 @@ class MeasureFamily:
     know the ambient measure, so the defining identity is checked by
     :func:`verify_pseudo_disintegration` against a given space.  Fibers may
     overlap; separation is a property, not a constructor requirement.
+
+    It is also the direct sum of the fibers' L2 spaces over the index: a
+    vector field is a tuple of per-fiber vectors in index label order, with
+    ||u||^2 = sum_z nu(z) ||u_z||^2, the L2 norm of its stacked coordinates
+    (the fibers' points in index label order) under the weights nu(z) * mu_z.
     """
 
     index: IndexSpace
@@ -194,12 +202,44 @@ class MeasureFamily:
         object.__setattr__(self, "fibers", fibers)
         if set(fibers) != set(self.index.labels):
             raise ValueError("fiber keys must coincide with the index labels")
+        object.__setattr__(self, "_spaces", tuple(fibers[z] for z in self.index.labels))
 
     def fiber(self, label) -> Fiber:
         return self.fibers[label]
 
     def fiber_spaces(self) -> tuple:
-        return tuple(self.fibers[z] for z in self.index.labels)
+        """The fibers in index label order, built once."""
+        return self._spaces
+
+    @cached_property
+    def dims(self) -> tuple:
+        return tuple(f.n for f in self._spaces)
+
+    @property
+    def dim(self) -> int:
+        return sum(self.dims)
+
+    @cached_property
+    def _layout(self) -> tuple:
+        """Stacked positions of every fiber in index label order: contiguous, disjoint ranges."""
+        starts = np.cumsum((0,) + self.dims[:-1])
+        return tuple(_readonly(np.arange(s, s + d), dtype=int) for s, d in zip(starts, self.dims))
+
+    @cached_property
+    def stacked_weights(self) -> np.ndarray:
+        """Pointwise weights of the stacked coordinates: nu(z) * mu_z."""
+        return np.concatenate([nu * f.mu for nu, f in zip(self.index.nu, self._spaces)])
+
+    def stack(self, field) -> np.ndarray:
+        return np.concatenate([np.asarray(u, dtype=float) for u in field])
+
+    def inner(self, u, v) -> float:
+        """Inner product of two vector fields in the direct sum."""
+        return float(sum(nu * f.inner(a, b)
+                         for nu, f, a, b in zip(self.index.nu, self._spaces, u, v)))
+
+    def norm(self, u) -> float:
+        return float(np.sqrt(max(self.inner(u, u), 0.0)))
 
 
 @dataclass(frozen=True, eq=False)

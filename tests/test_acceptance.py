@@ -321,10 +321,10 @@ def test_criterion_09_lp_isometries(fx_twin):
         {0: Fiber(("*",), [1.0]), 1: Fiber(("*",), [1.0])},
     )
     embed = assemble_l2(space, family)
-    images = np.stack([embed.dspace.stack(embed(np.array([v]))) for v in (1.0, 2.0)])
+    images = np.stack([embed.family.stack(embed(np.array([v]))) for v in (1.0, 2.0)])
     ok &= not embed.separated
-    ok &= np.linalg.matrix_rank(images) == 1 and embed.dspace.dim == 2
-    ok &= abs(embed.dspace.norm(embed(np.array([1.5]))) - space.norm([1.5])) <= 1e-12
+    ok &= np.linalg.matrix_rank(images) == 1 and embed.family.dim == 2
+    ok &= abs(embed.family.norm(embed(np.array([1.5]))) - space.norm([1.5])) <= 1e-12
     _report(9, "L2/Lp isometries and the non-separated example", ok)
 
 

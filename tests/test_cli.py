@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -368,13 +369,48 @@ FLAG_CASES = [
     ([*_GEN, "--density", "nan"], "--density must lie in [0, 1], got nan"),
     ([*_GEN, "--killing-prob", "2"], "--killing-prob must lie in [0, 1], got 2.0"),
     ([*_GEN, "--killing-prob", "nan"], "--killing-prob must lie in [0, 1], got nan"),
+    ([*_GEN, "--seed", "-1"], "--seed must be an integer >= 0, got -1"),
+    (["girsanov", "--phi", "random", "--seed", "-3"], "--seed must be an integer >= 0, got -3"),
+    (["girsanov", "--phi", "1,2,3,4,x"],
+     "--phi must be comma-separated numbers or 'random', got '1,2,3,4,x'"),
+    (["gen", "--n", "10000000000", "--components", "1"],
+     "n=10000000000 points need an n x n matrix larger than any numpy array"),
+    (["gen", "--n", "300000", "--components", "1"], "the form of --n 300000 does not fit in memory"),
 ]
 
 
+def refuse_large_zeros(monkeypatch):
+    """Make ``np.zeros`` raise MemoryError, as numpy does when it cannot allocate, above 1 GiB."""
+    zeros = np.zeros
+
+    def allocator(shape, *args, **kwargs):
+        if math.prod(np.atleast_1d(shape).tolist()) * 8 > 2 ** 30:
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", allocator)
+
+
 @pytest.mark.parametrize("argv, message", FLAG_CASES, ids=[" ".join(a) for a, _ in FLAG_CASES])
-def test_flag_without_a_defined_outcome_exits_2(tmp_path, capsys, fx_twin, argv, message):
-    assert main([*argv, "--input", write_form(tmp_path, fx_twin)]) == 2
+def test_flag_without_a_defined_outcome_exits_2(
+    tmp_path, capsys, monkeypatch, fx_twin, argv, message
+):
+    path = write_form(tmp_path, fx_twin)
+    refuse_large_zeros(monkeypatch)  # the --n 300000 matrix is refused, never allocated
+    assert main([*argv, "--input", path]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_form_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, fx_twin):
+    import ergodec.cli
+
+    def out_of_memory(obj):
+        raise MemoryError()
+
+    path = write_form(tmp_path, fx_twin)
+    monkeypatch.setattr(ergodec.cli, "form_from_json", out_of_memory)
+    assert main(["classify", "--input", path]) == 2
+    assert capsys.readouterr() == ("", f"error: the form in {path} does not fit in memory\n")
 
 
 # The sizes of the eigh calls of each command, from the size n of the form

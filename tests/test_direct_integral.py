@@ -42,7 +42,7 @@ def test_l2_isometry_twin(fx_twin):
     _, family = twin_family(fx_twin)
     embed = assemble_l2(fx_twin.space, family)
     f = np.array([1.0, 2.0, 3.0, 4.0])
-    assert embed.dspace.norm(embed(f)) ** 2 == pytest.approx(7.5, abs=1e-12)
+    assert embed.family.norm(embed(f)) ** 2 == pytest.approx(7.5, abs=1e-12)
     assert fx_twin.space.norm(f) ** 2 == pytest.approx(7.5, abs=1e-12)
     assert np.array_equal(embed.inverse(embed(f)), f)
 
@@ -66,10 +66,10 @@ def test_l2_two_copies_rank_deficient():
     embed = assemble_l2(space, family)
     assert not embed.separated
     f = np.array([3.0])
-    assert embed.dspace.norm(embed(f)) == pytest.approx(space.norm(f), abs=1e-12)
-    images = np.stack([embed.dspace.stack(embed(np.array([v]))) for v in (1.0, -2.0)])
+    assert embed.family.norm(embed(f)) == pytest.approx(space.norm(f), abs=1e-12)
+    images = np.stack([embed.family.stack(embed(np.array([v]))) for v in (1.0, -2.0)])
     assert np.linalg.matrix_rank(images) == 1
-    assert embed.dspace.dim == 2
+    assert embed.family.dim == 2
     with pytest.raises(NotSeparatedError):
         embed.inverse(embed(f))
 
@@ -89,7 +89,7 @@ def test_l2_lattice_and_isometry_random_families():
         for _ in range(20):
             f = rng.uniform(-1.0, 1.0, n)
             g = rng.uniform(-1.0, 1.0, n)
-            assert abs(embed.dspace.norm(embed(f)) - space.norm(f)) <= 1e-12
+            assert abs(embed.family.norm(embed(f)) - space.norm(f)) <= 1e-12
             meet = embed(np.minimum(f, g))
             for u, a, b in zip(meet, embed(f), embed(g)):
                 assert np.array_equal(u, np.minimum(a, b))
@@ -152,7 +152,7 @@ def test_assemble_form_reproduces_twin_energy(fx_twin):
         2.0 * np.array([[1.0, -1.0], [-1.0, 1.0]]),
         4.0 * np.array([[1.0, -1.0], [-1.0, 1.0]]),
     ]
-    form = assemble_form(embed.dspace, fiber_forms)
+    form = assemble_form(embed.family, fiber_forms)
     rng = np.random.default_rng(3)
     for _ in range(20):
         f = rng.uniform(-1.0, 1.0, 4)
@@ -164,7 +164,7 @@ def test_assemble_form_reproduces_twin_energy(fx_twin):
 def test_assemble_form_zero_fibers(fx_twin):
     _, family = twin_family(fx_twin)
     embed = assemble_l2(fx_twin.space, family)
-    form = assemble_form(embed.dspace, [np.zeros((2, 2)), np.zeros((2, 2))])
+    form = assemble_form(embed.family, [np.zeros((2, 2)), np.zeros((2, 2))])
     assert form.energy(embed(np.array([1.0, -2.0, 3.0, 0.5]))) == 0.0
 
 
@@ -172,11 +172,11 @@ def test_assemble_form_bad_fiber_witness(fx_twin):
     _, family = twin_family(fx_twin)
     embed = assemble_l2(fx_twin.space, family)
     bad = np.array([[1.0, 0.5], [0.5, 1.0]])
-    form = assemble_form(embed.dspace, [np.array([[1.0, -1.0], [-1.0, 1.0]]), bad])
+    form = assemble_form(embed.family, [np.array([[1.0, -1.0], [-1.0, 1.0]]), bad])
     ok, witness = form.is_dirichlet()
     assert not ok
     # The lifted witness still violates the contraction on the assembled matrix.
-    v = embed.dspace.stack(witness)
+    v = embed.family.stack(witness)
     q = form.assembled_matrix
     c = np.clip(v, 0.0, 1.0)
     assert c @ q @ c > v @ q @ v + 1e-12
@@ -186,7 +186,7 @@ def test_assemble_form_dimension_mismatch(fx_twin):
     _, family = twin_family(fx_twin)
     embed = assemble_l2(fx_twin.space, family)
     with pytest.raises(FiberDimensionMismatchError):
-        assemble_form(embed.dspace, [np.zeros((3, 3)), np.zeros((2, 2))])
+        assemble_form(embed.family, [np.zeros((3, 3)), np.zeros((2, 2))])
 
 
 @pytest.mark.parametrize("extra", [np.eye(5), "junk"])
@@ -196,7 +196,7 @@ def test_assemble_form_rejects_extra_fiber_forms(fx_twin, extra):
     embed = assemble_l2(fx_twin.space, family)
     forms = [np.zeros((2, 2)), np.zeros((2, 2)), extra]
     with pytest.raises(FiberDimensionMismatchError):
-        assemble_form(embed.dspace, forms)
+        assemble_form(embed.family, forms)
     with pytest.raises(FiberDimensionMismatchError):
         superpose(fx_twin.space, family, forms)
 
@@ -206,7 +206,7 @@ def test_assembled_semigroup_resolvent_decompose(fx_twin):
     embed = assemble_l2(fx_twin.space, family)
     # Fibers of the canonical decomposition: blocks over block mass.
     fiber_forms = [fx_twin.matrix[:2, :2] / 0.5, fx_twin.matrix[2:, 2:] / 0.5]
-    form = assemble_form(embed.dspace, fiber_forms)
+    form = assemble_form(embed.family, fiber_forms)
     for t in (0.1, 1.0):
         assembled = form.semigroup(t).assembled
         dense = semigroup(fx_twin, t)
@@ -227,7 +227,7 @@ def test_decompose_semigroup_operator(fx_twin):
     assert np.allclose(op.blocks[0], t1[:2, :2])
     assert np.allclose(op.blocks[1], t1[2:, 2:])
     # Round trip through assemble.
-    again = assemble_operator(op.dspace, op.blocks)
+    again = assemble_operator(op.family, op.blocks)
     assert np.array_equal(again.assembled, op.assembled)
 
 
@@ -253,8 +253,8 @@ def test_operator_norm_is_max_over_fibers(fx_twin):
     embed = assemble_l2(fx_twin.space, family)
     rng = np.random.default_rng(9)
     blocks = [rng.uniform(-1, 1, (2, 2)) for _ in range(2)]
-    op = assemble_operator(embed.dspace, blocks)
-    mus = [f.mu for f in embed.dspace.fibers]
+    op = assemble_operator(embed.family, blocks)
+    mus = [f.mu for f in embed.family.fiber_spaces()]
     expected = max(
         np.linalg.norm(np.sqrt(m)[:, None] * b / np.sqrt(m)[None, :], 2)
         for b, m in zip(blocks, mus)
@@ -265,10 +265,10 @@ def test_operator_norm_is_max_over_fibers(fx_twin):
 def test_diagonalizable_twin(fx_twin):
     qmap, family = twin_family(fx_twin)
     embed = assemble_l2(fx_twin.space, family)
-    op = diagonalizable(embed.dspace, {"z0": 5.0, "z1": 7.0})
+    op = diagonalizable(embed.family, {"z0": 5.0, "z1": 7.0})
     assert np.allclose(op.assembled, np.diag([5.0, 5.0, 7.0, 7.0]))
-    assert np.allclose(diagonalizable(embed.dspace, [1.0, 1.0]).assembled, np.eye(4))
-    proj = diagonalizable(embed.dspace, [1.0, 0.0]).assembled
+    assert np.allclose(diagonalizable(embed.family, [1.0, 1.0]).assembled, np.eye(4))
+    proj = diagonalizable(embed.family, [1.0, 0.0]).assembled
     assert np.allclose(proj, np.diag([1.0, 1.0, 0.0, 0.0]))
 
 
@@ -277,7 +277,7 @@ def test_indicator_diagonalizable_is_point_multiplication(fx_twin):
     # by the indicator of the preimage point set.
     qmap, family = twin_family(fx_twin)
     embed = assemble_l2(fx_twin.space, family)
-    op = diagonalizable(embed.dspace, {"z0": 1.0, "z1": 0.0})
+    op = diagonalizable(embed.family, {"z0": 1.0, "z1": 0.0})
     rng = np.random.default_rng(12)
     ind = np.array([1.0, 1.0, 0.0, 0.0])
     for _ in range(10):
@@ -290,25 +290,25 @@ def test_commutation_characterizes_decomposability(fx_twin):
     qmap, family = twin_family(fx_twin)
     embed = assemble_l2(fx_twin.space, family)
     t1 = semigroup(fx_twin, 1.0)
-    ok, witness = commutes_with_diagonalizables(t1, embed.dspace)
+    ok, witness = commutes_with_diagonalizables(t1, embed.family)
     assert ok and witness is None
 
     swap = np.eye(4)
     swap[[1, 2]] = swap[[2, 1]]
-    ok, witness = commutes_with_diagonalizables(swap, embed.dspace)
+    ok, witness = commutes_with_diagonalizables(swap, embed.family)
     assert not ok and witness == "z0"
 
-    ok, _ = commutes_with_diagonalizables(3.0 * np.eye(4), embed.dspace)
+    ok, _ = commutes_with_diagonalizables(3.0 * np.eye(4), embed.family)
     assert ok
 
     rng = np.random.default_rng(21)
     for _ in range(20):
         blocks = [rng.uniform(-1, 1, (2, 2)) for _ in range(2)]
-        op = assemble_operator(embed.dspace, blocks)
-        assert commutes_with_diagonalizables(op.assembled, embed.dspace)[0]
+        op = assemble_operator(embed.family, blocks)
+        assert commutes_with_diagonalizables(op.assembled, embed.family)[0]
         dense = rng.uniform(-1, 1, (4, 4))
         dense[0, 3] = 1.0  # force off-block mass
-        assert not commutes_with_diagonalizables(dense, embed.dspace)[0]
+        assert not commutes_with_diagonalizables(dense, embed.family)[0]
 
 
 # ------------------------------------------------------------ calculus
@@ -445,9 +445,9 @@ def test_decompose_operator_follows_quotient_label_order(assignment):
     matrix = np.where(same_block, rng.uniform(-1.0, 1.0, same_block.shape), 0.0)
 
     op = decompose_operator(matrix, qmap)
-    assert op.dspace.index.labels == qmap.index.labels
+    assert op.family.index.labels == qmap.index.labels
     for i, z in enumerate(qmap.index.labels):
-        assert op.dspace.fibers[i].points == qmap.blocks[z]
+        assert op.family.fiber_spaces()[i].points == qmap.blocks[z]
         idx = qmap.block_indices(z)
         assert np.array_equal(op.blocks[i], matrix[np.ix_(idx, idx)])
 
@@ -460,19 +460,18 @@ def multi_fiber_decompositions():
 @pytest.mark.parametrize("dec", multi_fiber_decompositions())
 def test_block_writers_match_naive_sum(dec):
     space, family = dec.quotient.space, dec.family
-    dspace = assemble_l2(space, family).dspace
-    bounds = np.cumsum((0,) + dspace.dims)
+    bounds = np.cumsum((0,) + family.dims)
     stacked = [np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    rng = np.random.default_rng(len(dspace.dims))
+    rng = np.random.default_rng(len(family.dims))
 
-    blocks = [rng.uniform(-1.0, 1.0, (d, d)) for d in dspace.dims]
-    op = assemble_operator(dspace, blocks)
-    assert np.array_equal(op.assembled, naive_block_sum(dspace.dim, stacked, blocks))
+    blocks = [rng.uniform(-1.0, 1.0, (d, d)) for d in family.dims]
+    op = assemble_operator(family, blocks)
+    assert np.array_equal(op.assembled, naive_block_sum(family.dim, stacked, blocks))
 
     matrices = [f.matrix for f in dec.fibers]
-    weighted = [nu * m for nu, m in zip(dspace.index.nu, matrices)]
-    form = assemble_form(dspace, matrices)
-    assert np.array_equal(form.assembled_matrix, naive_block_sum(dspace.dim, stacked, weighted))
+    weighted = [nu * m for nu, m in zip(family.index.nu, matrices)]
+    form = assemble_form(family, matrices)
+    assert np.array_equal(form.assembled_matrix, naive_block_sum(family.dim, stacked, weighted))
 
     supports = [space.indices_of(family.fibers[z].support) for z in family.index.labels]
     result = superpose(space, family, dec.fibers)

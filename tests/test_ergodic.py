@@ -426,14 +426,15 @@ def test_trusted_fibers_equal_validated_fibers(form):
 
 @pytest.mark.parametrize("form", multi_block_forms())
 def test_fiber_forms_live_on_the_family_fibers(form):
-    # Each fiber measure is built once: the fiber forms, the family and the
-    # direct-integral space of the decomposition share it.
+    # Each fiber measure is built once: the fiber forms and the family, which
+    # is the direct-integral space of the decomposition, share it.
     from ergodec import assemble_l2
 
     dec = decompose(form)
     spaces = tuple(dec.family.fibers[z] for z in dec.labels)
     assert all(fiber.space is space for fiber, space in zip(dec.fibers, spaces))
-    assert assemble_l2(dec.quotient.space, dec.family).dspace.fibers == spaces
+    embed = assemble_l2(dec.quotient.space, dec.family)
+    assert embed.family is dec.family and embed.family.fiber_spaces() == spaces
 
 
 @pytest.mark.parametrize("mu, jump, killing, message", [
@@ -805,6 +806,53 @@ def test_measures_build_no_fiber(monkeypatch):
     assert fibers == []
     decompose(form)
     assert len(fibers) == 5
+
+
+def test_verification_computes_no_fiber_generator_defect(monkeypatch):
+    # verify_decomposition reads only the reassembly residual; the fiber
+    # generator defects wait until the residuals are read.
+    import ergodec.ergodic
+
+    from conftest import reference_decompose_residuals
+
+    dec = decompose(random_form(3, 30, 4, killing_prob=0.2))
+    defects = spy(monkeypatch, ergodec.ergodic, "_generator_defect", lambda form, idx, fiber: len(idx))
+    assert verify_decomposition(dec).passed
+    assert defects == []
+    expected = reference_decompose_residuals(dec)
+    assert dec.residuals.keys() == expected.keys()
+    assert all(same_bits(dec.residuals[name], value) for name, value in expected.items())
+    assert len(defects) == 4
+
+
+def test_split_block_copies_rows_in_bounded_chunks():
+    # The dropped couplings are summed from row copies of at most _ROW_CHUNK
+    # entries, and each row's sum has the bits of the whole row copy's.  Two
+    # copies are alive at once: the next is made before the last is freed.
+    import tracemalloc
+
+    from ergodec.forms import _ROW_CHUNK, _split_block
+
+    rng = np.random.default_rng(5)
+    n = 1000
+    matrix = rng.uniform(-1.0, 0.0, (n, n))
+    matrix += matrix.T
+    np.fill_diagonal(matrix, -matrix.sum(axis=1))
+    idx = np.sort(rng.choice(n, 600, replace=False))
+    rows = matrix[idx]
+    rows[:, idx] = 0.0
+    expected = matrix[np.ix_(idx, idx)] / 3.0
+    np.fill_diagonal(expected, np.maximum(np.diagonal(expected) + rows.sum(axis=1) / 3.0, 0.0))
+    del rows
+    tracemalloc.start()
+    try:
+        block = _split_block(matrix, idx, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block.tobytes() == expected.tobytes()
+    assert np.diagonal(block).min() > 0.0
+    assert peak <= block.nbytes + 2 * 8 * _ROW_CHUNK + 2 ** 16
 
 
 def test_block_index_is_a_pair_of_slices_on_a_run():

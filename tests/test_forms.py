@@ -935,6 +935,18 @@ def test_girsanov_energy_identity_random(fx_grid):
     assert invariant_sets(out) == invariant_sets(fx_grid)
 
 
+def test_girsanov_near_float_max_is_warning_free():
+    # Twice mu(p0) overflows, and so does phi(p0)^2 mu(p0) at phi(p0) = 1.2: the
+    # density and a transform that fits raise no float error; one that does not is refused.
+    space = validate_space([("p0", 1.7e308), ("p1", 1.0), ("p2", 1.0)])
+    form = DirichletForm.from_jump_kernel(space, np.array([[0, 0, 0], [0, 0, 1.0], [0, 1.0, 0]]))
+    with np.errstate(all="raise"):
+        assert np.array_equal(carre_du_champ(form)(np.array([1.0, 0.0, 1.0])), [0.0, 0.5, 0.5])
+        assert girsanov_transform(form, np.array([0.5, 1.0, 2.0])).space.mu[0] == 0.25 * 1.7e308
+        with pytest.raises(NonFiniteError, match="infinite weight at position 0"):
+            girsanov_transform(form, np.array([1.2, 1.0, 1.0]))
+
+
 def test_girsanov_constant_density_rescales(fx_twin):
     out = girsanov_transform(fx_twin, np.full(4, 3.0))
     assert np.allclose(out.space.mu, 9.0 * fx_twin.space.mu)

@@ -3,12 +3,14 @@
 Every weight is drawn from values between 1e-300 and 1e300, zero and -0.0
 included, so the documents reach the edges of the representable range, and
 from small negative values, which the validation margins can let through.
-Each document has a defined outcome under every command: exit 0, a typed
-validation error (exit 2) or a residual failure (exit 3), with at most one
-``error:`` line and no warning.  The library keeps its decisions
-consistent on the same forms: every block of ``invariant_sets`` passes
-``is_invariant``, ``killing_free`` is the conservative verdict of
-``classify``, and every form that ``decompose`` accepts has irreducible
+Each document has a defined outcome under every command, ``girsanov --phi
+random`` included: exit 0, a typed validation error (exit 2) or a residual
+failure (exit 3), with at most one ``error:`` line and no warning.  The
+library keeps its decisions consistent on the same forms: every block of
+``invariant_sets`` passes ``is_invariant``, which refuses a form only when
+the eigendecomposition of the whole form fails and ``verify_decomposition``
+refuses it too; ``killing_free`` is the conservative verdict of
+``classify``; and every form that ``decompose`` accepts has irreducible
 fibers carrying the verdicts of their components; ``decompose`` refuses a
 form whose normalized measure or fibers A_B / m_B underflow.
 """
@@ -20,6 +22,7 @@ import os
 import tempfile
 import warnings
 
+import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
 from ergodec import (
@@ -30,6 +33,7 @@ from ergodec import (
     decompose,
     invariant_sets,
     is_invariant,
+    verify_decomposition,
 )
 from ergodec.cli import main
 from ergodec.serialize import form_from_json
@@ -37,7 +41,7 @@ from ergodec.serialize import form_from_json
 EXTREMES = [-1e-17, -2.4e-62, -1e-300, 0.0, -0.0, 1e-300, 1e-200, 1e-100, 1e-30, 1e-11, 1e-9,
             0.5, 1.0, 2.0, 1e9, 1e30, 1e100, 1e200, 1e300]
 values = st.sampled_from(EXTREMES)
-COMMANDS = ("decompose", "classify", "measures", "verify", "superpose")
+COMMANDS = ("decompose", "classify", "measures", "verify", "superpose", "girsanov --phi random")
 
 
 @st.composite
@@ -58,7 +62,7 @@ def run(command: str, path: str):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, "--input", path])
+            code = main([*command.split(), "--input", path])
     return code, err.getvalue(), [str(w.message) for w in caught]
 
 
@@ -83,6 +87,11 @@ POSITIVE_COUPLING = {"space": {"points": ["p0", "p1", "p2", "p3"], "mu": [1e-11]
 WITNESS_GAIN_OVERFLOW = {"space": {"points": ["p0", "p1", "p2", "p3"], "mu": [1e-300] * 4},
                          "edges": [["p0", "p1", 1e200], ["p0", "p2", -1e-17],
                                    ["p2", "p3", 1e-11]]}
+#: The total mass overflows to inf; the space is refused.
+MASS_OVERFLOW = {"space": {"points": ["a", "b"], "mu": [1e308, 1e308]}, "edges": [["a", "b", 1.0]]}
+#: The weight 1.7e308 is finite with its total, but twice it and phi^2 times it overflow.
+NEAR_FLOAT_MAX = {"space": {"points": ["p0", "p1", "p2"], "mu": [1.7e308, 1.0, 1.0]},
+                  "edges": [["p1", "p2", 1.0]]}
 
 
 @seed(20261019)
@@ -94,6 +103,8 @@ WITNESS_GAIN_OVERFLOW = {"space": {"points": ["p0", "p1", "p2", "p3"], "mu": [1e
 @example(ZERO_DIAGONAL_BLOCK)
 @example(FIBER_NEGATIVE_ROW_SUM)
 @example(POSITIVE_COUPLING)
+@example(MASS_OVERFLOW)
+@example(NEAR_FLOAT_MAX)
 def test_every_document_has_a_defined_outcome(doc):
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "form.json")
@@ -113,6 +124,11 @@ NORMALIZATION_UNDERFLOW = {"space": {"points": ["a", "b"], "mu": [1e-300, 1e300]
 #: The coupling of the one fiber underflows in A_B / m_B.
 FIBER_UNDERFLOW = {"space": {"points": ["p0", "p1"], "mu": [1e300, 1.0]},
                    "edges": [["p0", "p1", 1e-100]], "killing": [1e-200, 2.0]}
+#: LAPACK's eigh of the whole symmetrized matrix does not converge; the blocks' do.
+GLOBAL_EIGH_FAILS = {"space": {"points": ["p0", "p1", "p2", "p3", "p4"],
+                               "mu": [1e-300, 1e-30, 1e-100, 1e-30, 1e-300]},
+                     "edges": [["p0", "p2", 1e-11], ["p0", "p3", -1e-17], ["p1", "p4", 1e-9],
+                               ["p2", "p3", 1e-11]]}
 
 
 @seed(20261019)
@@ -126,6 +142,9 @@ FIBER_UNDERFLOW = {"space": {"points": ["p0", "p1"], "mu": [1e300, 1.0]},
 @example(ZERO_DIAGONAL_BLOCK)
 @example(FIBER_NEGATIVE_ROW_SUM)
 @example(POSITIVE_COUPLING)
+@example(MASS_OVERFLOW)
+@example(NEAR_FLOAT_MAX)
+@example(GLOBAL_EIGH_FAILS)
 def test_library_decisions_agree(doc):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -133,8 +152,13 @@ def test_library_decisions_agree(doc):
             form = form_from_json(doc)
         except ErgodecError:
             return
-        for block in invariant_sets(form):
-            assert is_invariant(form, block)[0], block
+        try:
+            for block in invariant_sets(form):
+                assert is_invariant(form, block)[0], block
+        except NotRepresentableError:
+            # The eigendecomposition of the whole form failed; the dense oracle needs it too.
+            with pytest.raises(NotRepresentableError):
+                verify_decomposition(decompose(form))
         cls = classify(form)
         assert form.killing_free == cls.conservative
         try:

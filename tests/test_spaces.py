@@ -177,11 +177,14 @@ def test_quotient_labels_deterministic(fx_twin):
     assert np.array_equal(forward.index.nu, reverse.index.nu)
 
 
-@pytest.mark.parametrize("make", [
+WEIGHT_MAKERS = [
     lambda w: IndexSpace(("z0", "z1"), w),
     lambda w: Fiber(("a", "b"), w),
     lambda w: validate_space(zip(("a", "b"), w)),
-])
+]
+
+
+@pytest.mark.parametrize("make", WEIGHT_MAKERS)
 def test_weights_reject_inf_and_report_first_bad_position(make):
     with pytest.raises(NonFiniteError, match="position 1"):
         make([1.0, np.inf])
@@ -192,6 +195,12 @@ def test_weights_reject_inf_and_report_first_bad_position(make):
     assert info.value.index == 0
     with pytest.raises(NonPositiveWeightError):
         make([1.0, np.nan])
+
+
+@pytest.mark.parametrize("make", WEIGHT_MAKERS)
+def test_weights_whose_total_mass_overflows_are_refused(make):
+    with np.errstate(all="raise"), pytest.raises(NonFiniteError, match="overflows to inf"):
+        make([1e308, 1e308])
 
 
 def test_index_spaces_and_fibers_are_finite_measure_spaces():
