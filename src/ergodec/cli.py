@@ -20,7 +20,7 @@ import numpy as np
 from ._jsonenc import iterencode
 from ._tolerance import RESIDUAL_TOLERANCE
 from .errors import ConsistencyError, ErgodecError, NotMarkovianError
-from .forms import carre_du_champ, classify, girsanov_transform
+from .forms import _matrix_scale, carre_du_champ, classify, girsanov_transform
 from .serialize import (
     _edge_list,
     classification_to_json,
@@ -244,6 +244,7 @@ def _cmd_girsanov(args) -> int:
         f = rng.uniform(-1.0, 1.0, size=form.n)
         direct = float(np.dot(gamma(f), transformed.space.mu))  # phi^2 mu
         defect = max(defect, abs(transformed.energy(f) - direct))
+    defect /= _matrix_scale(transformed.matrix)  # relative to 1 + max |A|, as the form defect
     report = {
         "transformed": form_to_json(transformed),
         "identity_defect": defect,

@@ -17,21 +17,32 @@ from typing import Mapping
 
 import numpy as np
 
-from ._linalg import _assemble_blocks, _block, semigroup_action
+from ._linalg import (
+    StackedLayout,
+    _split_blocks,
+    _stack_index,
+    dots,
+    resolvent_from_eig,
+    semigroup_action,
+    semigroup_from_eig,
+    symmetrized_eig,
+)
 from ._stream import Seed0Stream
 from ._tolerance import RESIDUAL_TOLERANCE, TAU
-from .direct_integral import assemble_l2
 from .errors import ConsistencyError, NotInvariantError, NotRepresentableError, PartitionMismatchError
 from .forms import (
     COMPONENT_THRESHOLD,
     Classification,
     DirichletForm,
+    _block_verdicts,
+    _classification,
     _density,
     _generator_scale,
+    _irreducible,
     _killed,
+    _killing,
     _largest_jump,
     _matrix_scale,
-    _split_block,
     carre_du_champ,
     classify,
     girsanov_transform,
@@ -53,12 +64,14 @@ def _max_abs_difference(out: np.ndarray, other: np.ndarray) -> float:
     return float(np.abs(out, out=out).max())
 
 
-def _generator_defect(form: DirichletForm, idx: np.ndarray, fiber: DirichletForm) -> float:
-    """max |fiber.generator - form.generator[idx, idx]|, filling neither generator cache."""
-    block_generator = np.negative(form.matrix[_block(idx)])  # a new array, never a view
-    block_generator /= form.space.mu[idx][:, None]
-    defect = np.negative(fiber.matrix)
-    defect /= fiber.space.mu[:, None]
+def _generator_defect(form: DirichletForm, positions: np.ndarray, matrices: np.ndarray,
+                      mu: np.ndarray) -> float:
+    """max |L_z - form.generator[B, B]| over a stack of fibers, their ``matrices`` over ``mu`` at
+    the (k, s) ``positions``, filling neither generator cache."""
+    block_generator = np.negative(form.matrix[_stack_index(positions)])  # a new array, never a view
+    block_generator /= form.space.mu[positions][:, :, None]
+    defect = np.negative(matrices)
+    defect /= mu[:, :, None]
     return _max_abs_difference(defect, block_generator)
 
 
@@ -70,10 +83,12 @@ def _reassembled_energy(quotient: QuotientMap, fibers, f, g) -> float:
     return sum(float(w) * fiber.energy(f[idx], g[idx]) for w, idx, fiber in blocks)
 
 
-def _reassembled_matrix(quotient: QuotientMap, fibers) -> np.ndarray:
-    """sum_z nu(z) A_z, the fiber matrices of a quotient weighted and assembled."""
-    n, weighted = quotient.space.n, (w * f.matrix for w, f in zip(quotient.index.nu, fibers))
-    return _assemble_blocks(np.zeros((n, n)), quotient._layout, weighted)
+def _reassembled_matrix(quotient: QuotientMap, layout: StackedLayout, fibers) -> np.ndarray:
+    """sum_z nu(z) A_z, the fiber matrices of a quotient weighted and assembled a stack at a time."""
+    out, nu = np.zeros((quotient.space.n, quotient.space.n)), quotient.index.nu
+    for (members, positions), a in zip(layout.stacks, layout.stack([f.matrix for f in fibers])):
+        out[_stack_index(positions)] = nu[members][:, None, None] * a
+    return out
 
 
 def _worst(residuals) -> float:
@@ -115,10 +130,28 @@ class ErgodicDecomposition:
         return self.quotient.family
 
     @cached_property
+    def _fiber_stacks(self) -> tuple:
+        """``(matrices, mu)`` of the fibers per stack of the form's layout, whose blocks are the
+        quotient's in the same order; a stack of one is a view."""
+        layout = self.form._layout
+        return tuple(zip(layout.stack([f.matrix for f in self.fibers]),
+                         layout.stack([f.space.mu for f in self.fibers])))
+
+    @cached_property
+    def _fiber_eigs(self) -> tuple:
+        """The symmetrized eigendecomposition of each stack of fibers: one ``eigh`` per block size."""
+        return tuple(symmetrized_eig(a, mu) for a, mu in self._fiber_stacks)
+
+    @cached_property
+    def _fibers_irreducible(self) -> np.ndarray:
+        """Per fiber, whether :func:`~ergodec.forms.invariant_sets` finds it one block."""
+        return self.form._layout.blockwise([_irreducible(a) for a, _ in self._fiber_stacks])
+
+    @cached_property
     def residuals(self) -> dict:
         """Max-abs defects of the energy reassembly and of the fiber generators, on first access."""
-        generator_defects = [_generator_defect(self.form, idx, fiber)
-                             for idx, fiber in zip(self.quotient._layout, self.fibers)]
+        generator_defects = [_generator_defect(self.form, p, a, mu)
+                             for (_, p), (a, mu) in zip(self.form._layout.stacks, self._fiber_stacks)]
         return {"form_reassembly": self._reassembly, "fiber_generator": _worst(generator_defects)}
 
     @cached_property
@@ -134,7 +167,7 @@ class ErgodicDecomposition:
         return self.normalization_scale * _reassembled_energy(self.quotient, self.fibers, f, g)
 
     def reassembled_matrix(self) -> np.ndarray:
-        out = _reassembled_matrix(self.quotient, self.fibers)
+        out = _reassembled_matrix(self.quotient, self.form._layout, self.fibers)
         out *= self.normalization_scale
         return out
 
@@ -154,12 +187,11 @@ def _representable(form: DirichletForm) -> tuple:
     """
     normalized = form.space.normalized()
     tiny = np.finfo(float).tiny
-    points = form.space.points
-    layout = [form.space.indices_of(b) for b in invariant_sets(form)]
-    masses = [float(form.space.mu[idx].sum()) for idx in layout]
+    points, layout, mu = form.space.points, form._layout, form.space.mu
+    masses = layout.blockwise([mu[p].sum(axis=-1) for _, p in layout.stacks])
     block_mass = np.empty(form.n)
-    for idx, mass in zip(layout, masses):
-        block_mass[idx] = mass
+    for members, positions in layout.stacks:
+        block_mass[positions] = masses[members][:, None]
     lost = _killed(form) & (form.killing > 0) & (form.killing / block_mass < tiny)
     if lost.any():
         x = int(np.argmax(lost))
@@ -168,9 +200,8 @@ def _representable(form: DirichletForm) -> tuple:
             f"{points[x]!r} over its block mass {block_mass[x]:.3e} underflows"
         )
     threshold = COMPONENT_THRESHOLD * _largest_jump(form.matrix)
-    for idx, mass in zip(layout, masses):
-        if threshold / mass >= tiny:
-            continue
+    for b in np.flatnonzero(~(threshold / masses >= tiny)):  # the threshold over m_B underflows
+        idx, mass = form.space.indices_of(invariant_sets(form)[b]), masses[b]
         for x in idx:
             row = form.matrix[x, idx]
             lost = (row < -threshold) & (row / mass > -tiny)
@@ -193,7 +224,7 @@ def decompose(form: DirichletForm) -> ErgodicDecomposition:
     blocks of the global semigroup on the probability fibers (checked via
     the generator blocks in :attr:`ErgodicDecomposition.residuals`).  The
     jump weights that :func:`~ergodec.forms.invariant_sets` treats as zero
-    are taken off the diagonal as well (see ``_split_block``), so a fiber
+    are taken off the diagonal as well (see ``_split_blocks``), so a fiber
     carries the killing of its points and no more, and gets the verdicts of
     :func:`~ergodec.forms.classify` on the whole form.
 
@@ -203,13 +234,18 @@ def decompose(form: DirichletForm) -> ErgodicDecomposition:
     each fiber form wraps its matrix over the family's own fiber measure,
     without the ``eigvalsh`` and witness search of
     :func:`~ergodec.forms.is_markovian`.  :func:`verify_decomposition` stays
-    the independent dense check of the result.  A form whose normalized
-    measure or fibers underflow raises :class:`NotRepresentableError`.
+    the independent dense check of the result.  The fibers of one size are
+    split from the matrix as one stack, and their matrices are views of it.
+    A form whose normalized measure or fibers underflow raises
+    :class:`NotRepresentableError`.
     """
     normalized, masses = _representable(form)
     qmap, family = disintegrate_over_partition(normalized, invariant_sets(form))
-    fibers = [DirichletForm._unchecked(family.fibers[z], _split_block(form.matrix, idx, raw_mass))
-              for z, idx, raw_mass in zip(qmap.index.labels, qmap._layout, masses)]
+    spaces, fibers = family.fiber_spaces(), [None] * len(masses)
+    for members, positions in form._layout.stacks:
+        stack = _split_blocks(form.matrix, positions, form._dropped, masses[members])
+        for b, a, k in zip(members.tolist(), stack, _killing(stack)):
+            fibers[b] = DirichletForm._unchecked(spaces[b], a, k)
     return ErgodicDecomposition(
         form=form,
         quotient=qmap,
@@ -261,17 +297,19 @@ def verify_decomposition(
     Every eigendecomposition is taken before the first n x n product, and
     each global product is released before the next one is built: the
     fiber blocks are subtracted from it in place, which off the blocks
-    leaves its entries as they are, bit for bit.
+    leaves its entries as they are, bit for bit.  The global form is the
+    independent oracle: its eigendecomposition and its products are dense,
+    while the fibers of one size take one ``eigh`` and one product per
+    parameter as a stack, each fiber with the bits of its own call.
     """
     form = dec.form
     n = form.n
     form_defect = dec._reassembly / _matrix_scale(form.matrix)
 
-    for f in (form, *dec.fibers):
-        f._eig  # cached on the form for the products below
-    layout = dec.quotient._layout
+    form._eig  # cached on the form for the products below
+    fiber_eigs, layout = dec._fiber_eigs, form._layout
 
-    def splitting_defect(operator, parameter) -> float:
+    def splitting_defect(operator, fiber_operator, parameter) -> float:
         """The Frobenius norm of the global operator minus its fiber blocks.
 
         Entries (x, y) carry a factor sqrt(mu(y) / mu(x)), so on weights
@@ -279,24 +317,26 @@ def verify_decomposition(
         which fails the check without a warning.
         """
         out = operator(form, parameter)
-        for idx, fiber in zip(layout, dec.fibers):
-            out[_block(idx)] -= operator(fiber, parameter)
+        for (_, positions), eig in zip(layout.stacks, fiber_eigs):
+            out[_stack_index(positions)] -= fiber_operator(eig, parameter)
         with np.errstate(over="ignore"):
             return float(np.linalg.norm(out, "fro"))
 
-    semi_defects = {t: splitting_defect(semigroup, t) for t in times}
-    res_defects = {a: splitting_defect(resolvent, a) for a in alphas}
+    semi_defects = {t: splitting_defect(semigroup, semigroup_from_eig, t) for t in times}
+    res_defects = {a: splitting_defect(resolvent, resolvent_from_eig, a) for a in alphas}
 
+    # ||f||^2 against sum_z nu(z) ||f restricted to z||^2 over the family, the
+    # fiber terms summed in index order as MeasureFamily.inner sums them.
     rng = Seed0Stream() if rng is None else rng
-    normalized = dec.quotient.space
-    embed = assemble_l2(normalized, dec.family)
-    isometry_defects = []
-    for _ in range(trials):
-        f = rng.uniform(-1.0, 1.0, size=n)
-        isometry_defects.append(abs(dec.family.norm(embed(f)) - normalized.norm(f)))
-    isometry_defect = _worst(isometry_defects)
+    f = np.array([rng.uniform(-1.0, 1.0, size=n) for _ in range(trials)]).reshape(trials, n)
+    family, terms = dec.family, np.empty((trials, layout.count))
+    for (members, positions), mu in zip(layout.stacks, layout.stack([z.mu for z in family.fiber_spaces()])):
+        g = f[:, positions]
+        terms[:, members] = family.index.nu[members] * dots(g * mu, g)
+    fiber_norms = np.sqrt(np.maximum(np.cumsum(terms, axis=1)[:, -1], 0.0))
+    isometry_defect = _worst(np.abs(fiber_norms - np.sqrt(dots(f * f, dec.quotient.space.mu))))
 
-    irreducible = tuple(len(invariant_sets(fiber)) == 1 for fiber in dec.fibers)
+    irreducible = tuple(dec._fibers_irreducible.tolist())
     passed = (
         form_defect <= tolerance
         and _worst(semi_defects.values()) <= tolerance
@@ -387,7 +427,7 @@ class WeightedDecomposition:
     @cached_property
     def residuals(self) -> dict:
         """The max-abs defect of the lifted fibers' energy reassembly, computed on first access."""
-        reassembled = _reassembled_matrix(self.base.quotient, self.lifted_forms)
+        reassembled = _reassembled_matrix(self.base.quotient, self.base.form._layout, self.lifted_forms)
         return {"form_reassembly": _max_abs_difference(reassembled, self.form.matrix)}
 
     @property
@@ -494,9 +534,9 @@ class ErgodicMeasure:
     weights: np.ndarray
 
 
-def _stationarity_defect(eig, x: np.ndarray) -> float:
-    """max |T_1^T x - x| on one block, T_1^T applied from the block's eigendecomposition."""
-    return float(np.abs(semigroup_action(eig, 1.0, x, transpose=True) - x).max())
+def _stationarity_defects(eig, x: np.ndarray) -> np.ndarray:
+    """max |T_1^T x - x| per block of a stack, T_1^T applied from its stacked eigendecomposition."""
+    return np.abs(semigroup_action(eig, 1.0, x, transpose=True) - x).max(axis=-1)
 
 
 def ergodic_measures(form: DirichletForm) -> tuple:
@@ -510,23 +550,27 @@ def ergodic_measures(form: DirichletForm) -> tuple:
     it read.  T_1 is self-adjoint in L2(mu), so the stationarity defect of w
     is w (1 - T_1 1), at most the mass defect of the component; a defect past
     it by more than TAU (1 + gamma), with gamma = max A(x, x) / mu(x), raises
-    :class:`ConsistencyError`.  What :func:`decompose` refuses is refused.
+    :class:`ConsistencyError`.  T_1^T is applied to the blocks of one size
+    together.  What :func:`decompose` refuses is refused.
     """
     _representable(form)
-    classes = classify(form).per_component.values()
-    mu, slack = form.space.mu, TAU * (1.0 + _generator_scale(form))
+    classes = tuple(classify(form).per_component.values())
+    mu, slack, layout = form.space.mu, TAU * (1.0 + _generator_scale(form)), form._layout
+    normalized, defects = np.zeros(form.n), np.zeros(layout.count)
+    for (members, positions), eig in zip(layout.stacks, form._block_eigs):
+        w = mu[positions] / mu[positions].sum(axis=-1, keepdims=True)
+        normalized[positions] = w
+        defects[members] = _stationarity_defects(eig, w)
     out = []
-    for (idx, eig), comp in zip(form._block_eigs, classes):
+    for b, comp in enumerate(classes):
         if comp.transient:
             continue
-        weights = np.zeros(form.n)
-        weights[idx] = mu[idx] / mu[idx].sum()
-        defect = _stationarity_defect(eig, weights[idx])
+        defect = float(defects[b])
         if not defect <= comp.mass_defect + slack:
             raise ConsistencyError(
                 f"stationarity check failed on component {comp.points}", {"stationarity": defect}
             )
-        out.append(ErgodicMeasure(comp.points, weights))
+        out.append(ErgodicMeasure(comp.points, np.where(layout.block_of == b, normalized, 0.0)))
     return tuple(out)
 
 
@@ -573,7 +617,8 @@ def decompose_invariant_measure(
     if np.any(eta < 0):
         raise ValueError("measure weights must be nonnegative")
     measures = ergodic_measures(form)
-    defect = _worst(_stationarity_defect(eig, eta[idx]) for idx, eig in form._block_eigs)
+    defect = _worst(np.concatenate([_stationarity_defects(eig, eta[p])
+                                    for (_, p), eig in zip(form._layout.stacks, form._block_eigs)]))
     if defect > tol * float(eta.max(initial=0.0)):
         raise NotInvariantError(defect)
 
@@ -636,9 +681,27 @@ def classification_decomposition(dec: ErgodicDecomposition) -> DecompositionClas
     equal the conjunction of the fiber flags; the space splits into the
     union of recurrent fibers and the union of transient fibers with no
     exceptional remainder.
+
+    Each fiber is a form of its own, classified as :func:`classify` does, from
+    the stacked eigendecompositions :func:`verify_decomposition` reads: the
+    fibers of one size are checked together.  A fiber that is not
+    irreducible is classified by :func:`classify` over its own blocks.
     """
     overall = classify(dec.form)
-    per_fiber = tuple(classify(fiber) for fiber in dec.fibers)
+    verdicts = []
+    for (a, mu), eig, k in zip(dec._fiber_stacks, dec._fiber_eigs,
+                               dec.form._layout.stack([f.killing for f in dec.fibers])):
+        diagonal = np.diagonal(a, axis1=-2, axis2=-1)
+        rates = diagonal / mu
+        mass_slack = TAU * (1.0 + rates.max(axis=-1)) * np.sqrt(mu.sum(axis=-1))
+        verdicts.append(_block_verdicts(eig, mu, k, rates, k > TAU * diagonal, mass_slack,
+                                        lambda a=a: a))
+    columns = [dec.form._layout.blockwise(c) for c in zip(*verdicts)]
+    per_fiber = tuple(
+        _classification((fiber.space.points,), [c[b:b + 1] for c in columns])
+        if dec._fibers_irreducible[b] else classify(fiber)
+        for b, fiber in enumerate(dec.fibers)
+    )
     consistent = (
         overall.conservative == all(c.conservative for c in per_fiber)
         and overall.transient == all(c.transient for c in per_fiber)

@@ -22,7 +22,10 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from ._linalg import (
-    _block,
+    StackedLayout,
+    _dropped_couplings,
+    _split_blocks,
+    dots,
     resolvent_from_eig,
     semigroup_action,
     semigroup_from_eig,
@@ -45,8 +48,6 @@ from .spaces import FiniteMeasureSpace, _readonly
 
 #: Relative threshold below which a jump weight does not join two components.
 COMPONENT_THRESHOLD = TAU
-#: The most entries of the matrix that :func:`_split_block` copies at a time (1 MiB of floats).
-_ROW_CHUNK = 2 ** 17
 
 
 def _matrix_scale(matrix) -> float:
@@ -85,25 +86,6 @@ def _killed(form: DirichletForm) -> np.ndarray:
     return form.killing > TAU * np.diagonal(form.matrix)
 
 
-def _split_block(matrix: np.ndarray, idx: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """The block at ``idx``, over ``scale``, of the form split over its invariant blocks; a copy.
-
-    The couplings :func:`invariant_sets` dropped leave the diagonal too, so the row sums are those
-    of the matrix; a diagonal entry left below 0 by a row sum inside the margins is set to 0.
-    Rows are copied ``_ROW_CHUNK`` entries (at least one row) at a time; no row's sum changes.
-    """
-    block = matrix[_block(idx)] / scale
-    if len(idx) < len(matrix):
-        dropped, step = np.empty(len(idx)), max(1, _ROW_CHUNK // len(matrix))
-        for lo in range(0, len(idx), step):
-            rows = matrix[idx[lo:lo + step]]  # a copy
-            rows[:, idx] = 0.0
-            dropped[lo:lo + step] = rows.sum(axis=1)  # exactly 0 unless couplings were dropped
-        if dropped.any():
-            np.fill_diagonal(block, np.maximum(np.diagonal(block) + dropped / scale, 0.0))
-    return block
-
-
 def _generator_scale(form: DirichletForm) -> float:
     """gamma = max_x A(x, x) / mu(x), which bounds every entry of L and twice its spectrum."""
     return float((np.diagonal(form.matrix) / form.space.mu).max())
@@ -125,8 +107,9 @@ def _jump(q: np.ndarray) -> np.ndarray:
 
 
 def _killing(q: np.ndarray) -> np.ndarray:
-    """The killing vector of a symmetric Markovian matrix: its row sums, floored at 0."""
-    return np.maximum(q.sum(axis=1), 0.0)
+    """The killing vector of a symmetric Markovian matrix, or of each of a stack: its row sums,
+    floored at 0."""
+    return np.maximum(q.sum(axis=-1), 0.0)
 
 
 def _contraction_energy_drop(matrix, f):
@@ -288,14 +271,14 @@ class DirichletForm:
         return cls(space, matrix)
 
     @classmethod
-    def _unchecked(cls, space: FiniteMeasureSpace, matrix) -> "DirichletForm":
+    def _unchecked(cls, space: FiniteMeasureSpace, matrix, killing=None) -> "DirichletForm":
         """Wrap a bitwise symmetric matrix into a form without validation.
 
-        The matrix becomes read-only, and the killing vector is read from it
-        as :func:`is_markovian` reads it.
+        The matrix becomes read-only, and the killing vector, unless given,
+        is read from it as :func:`is_markovian` reads it.
         """
         matrix.flags.writeable = False
-        killing = _killing(matrix)
+        killing = _killing(matrix) if killing is None else killing
         killing.flags.writeable = False
         form = object.__new__(cls)
         object.__setattr__(form, "space", space)
@@ -386,20 +369,30 @@ class DirichletForm:
         return _jump_components(self)
 
     @cached_property
+    def _layout(self) -> StackedLayout:
+        """The blocks of :func:`invariant_sets`, stacked by size."""
+        return StackedLayout([self.space.indices_of(b) for b in self._invariant_sets])
+
+    @cached_property
+    def _dropped(self) -> np.ndarray:
+        """The couplings :func:`invariant_sets` dropped, summed per point (:func:`_dropped_couplings`)."""
+        return _dropped_couplings(self.matrix, self._layout)
+
+    @cached_property
     def _block_eigs(self) -> tuple:
-        """``(positions, eig)`` per block of :func:`invariant_sets`, split as the fibers of
-        :func:`~ergodec.ergodic.decompose` are; one block keeps ``_eig``."""
-        mu, layout = self.space.mu, [self.space.indices_of(b) for b in self._invariant_sets]
-        if len(layout) == 1:
-            return ((layout[0], self._eig),)
-        return tuple((idx, symmetrized_eig(_split_block(self.matrix, idx), mu[idx])) for idx in layout)
+        """One stacked eigendecomposition per stack of ``_layout``, of its blocks split as the
+        fibers of :func:`~ergodec.ergodic.decompose` are; one block keeps ``_eig``."""
+        if self._layout.count == 1:
+            return (tuple(a[None] for a in self._eig),)
+        return tuple(symmetrized_eig(_split_blocks(self.matrix, p, self._dropped), self.space.mu[p])
+                     for _, p in self._layout.stacks)
 
     @property
     def spectrum(self) -> np.ndarray:
         """Eigenvalues of -L in L2(mu), ascending and clipped at 0: the merged spectra of the
         -L_B, each within the 2-norm of what the split drops (Weyl's inequality)."""
-        w = np.sort(np.concatenate([eig[0] for _, eig in self._block_eigs]), kind="stable")
-        return np.clip(w, 0.0, None)
+        w = self._layout.concatenate([eig[0] for eig in self._block_eigs])
+        return np.clip(np.sort(w, kind="stable"), 0.0, None)
 
     def energy(self, f, g=None) -> float:
         f = np.asarray(f, dtype=float)
@@ -613,6 +606,30 @@ def _jump_components(form: DirichletForm) -> tuple:
     return tuple(blocks)
 
 
+def _irreducible(matrices: np.ndarray) -> np.ndarray:
+    """Per matrix of a (k, s, s) stack, whether :func:`invariant_sets` of its form finds one block.
+
+    Each jump graph, with the threshold of :func:`invariant_sets` on its own
+    largest jump, is searched breadth first from its first point, one level
+    of every graph at a time.
+    """
+    k, s = matrices.shape[:2]
+    off_diagonal = matrices.reshape(k, -1)[:, 1:].reshape(k, s - 1, s + 1)[:, :, :s]
+    jmax = -off_diagonal.min(axis=(1, 2), initial=0.0)
+    adjacency = (matrices < (-COMPONENT_THRESHOLD * jmax)[:, None, None]) & (jmax > 0)[:, None, None]
+    reached = np.zeros((k, s), dtype=bool)
+    reached[:, 0] = True
+    frontier = reached.copy()
+    while frontier.any():
+        b, x = np.nonzero(frontier)
+        starts = np.flatnonzero(np.r_[True, b[1:] != b[:-1]])
+        hit = np.zeros_like(reached)
+        hit[b[starts]] = np.logical_or.reduceat(adjacency[b, x], starts, axis=0)
+        frontier = hit & ~reached
+        reached |= frontier
+    return reached.all(axis=1)
+
+
 def is_irreducible(form: DirichletForm) -> bool:
     """True when only the trivial subsets are invariant."""
     return len(invariant_sets(form)) == 1
@@ -639,15 +656,31 @@ def girsanov_transform(form: DirichletForm, phi) -> DirichletForm:
         E_phi(f, g) = sum_x gamma(f, g)(x) phi(x)^2 mu(x)
 
     exactly.  Killing is refused: the reweighting identity needs the energy
-    to be carried by jumps alone.  A weight phi^2 mu that overflows is refused.
+    to be carried by jumps alone.  A reweighted measure phi^2 mu that does not
+    fit in floats, a weight that overflows to inf or underflows to 0 or a
+    total mass that overflows, raises :class:`NotRepresentableError` naming it.
     """
     phi = _density(form, phi)
-    with np.errstate(over="ignore", invalid="ignore"):  # the validation refuses what overflows
+    points, mu = form.space.points, form.space.mu
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks below refuse what overflows
         phi_sq = phi * phi
-        new_space = FiniteMeasureSpace(form.space.points, phi_sq * form.space.mu)
+        weights = phi_sq * mu
+        total = float(weights.sum())
         weight = 0.5 * (phi_sq[:, None] + phi_sq[None, :])
         jump = form.jump * weight
-    return DirichletForm.from_jump_kernel(new_space, jump)
+    lost = ~((weights > 0) & (weights < np.inf))
+    if lost.any():
+        x = int(np.argmax(lost))
+        raise NotRepresentableError(
+            f"the reweighted measure phi^2 mu does not fit in floats: at point {points[x]!r}, "
+            f"phi^2 mu = ({phi[x]:.3e})^2 * {mu[x]:.3e} "
+            f"{'overflows to inf' if weights[x] > 0 else 'underflows to 0'}"
+        )
+    if total == np.inf:
+        raise NotRepresentableError(
+            "the reweighted measure phi^2 mu does not fit in floats: its total mass overflows to inf"
+        )
+    return DirichletForm.from_jump_kernel(FiniteMeasureSpace(points, weights), jump)
 
 
 @dataclass(frozen=True)
@@ -691,8 +724,9 @@ def classify(form: DirichletForm) -> Classification:
     Each block B is read from its own eigendecomposition (the global one
     when there is one block), split as the fibers of
     :func:`~ergodec.ergodic.decompose` are, so its row sums are those of the
-    whole matrix.  Two bounds implied by the killing K_B of the block are
-    checked, and a violation raises :class:`ConsistencyError`: the mass
+    whole matrix; the blocks of one size are checked together.  Two bounds
+    implied by the killing K_B of the block are checked, and a violation
+    raises :class:`ConsistencyError` for the first failing block: the mass
     defect m = 1 - T_1 1 satisfies sum_B k (1 - m) <= <mu, m>_B <= K_B, as
     <mu, m>_B integrates sum_B k T_s 1 over s in [0, 1] and
     T_1 1 <= T_s 1 <= 1; the energy floor, the bottom eigenvalue of -L_B in
@@ -706,33 +740,55 @@ def classify(form: DirichletForm) -> Classification:
     mu, k, killed = form.space.mu, form.killing, _killed(form)
     rates = np.diagonal(form.matrix) / mu
     mass_slack = TAU * (1.0 + float(rates.max())) * math.sqrt(form.space.total_mass)
+    verdicts = [
+        _block_verdicts(eig, mu[p], k[p], rates[p], killed[p], mass_slack,
+                        lambda p=p: _split_blocks(form.matrix, p, form._dropped))
+        for (_, p), eig in zip(form._layout.stacks, form._block_eigs)
+    ]
+    return _classification(invariant_sets(form), [form._layout.blockwise(c) for c in zip(*verdicts)])
 
-    per, cons_points, trans_points = {}, [], []
-    for i, (block, (idx, eig)) in enumerate(zip(invariant_sets(form), form._block_eigs)):
-        t1 = semigroup_action(eig, 1.0, np.ones(len(idx)))
-        mass, killing = float(mu[idx].sum()), float(k[idx].sum())
-        slack = mass_slack * math.sqrt(mass)
-        with np.errstate(over="ignore", invalid="ignore"):  # overflows only where slack is inf
-            lost, kept = mass - float(mu[idx] @ t1), float(k[idx] @ t1)
-        energy_floor, floor_slack = float(eig[0][0]), TAU * float(rates[idx].max())
-        lowest = -floor_slack
-        if energy_floor < lowest:  # inside the validation margins: Gershgorin's bound for -L_B
-            a = _split_block(form.matrix, idx)
-            gershgorin = (2.0 * np.diagonal(a) - np.abs(a).sum(axis=1)) / mu[idx]
-            lowest += min(float(gershgorin.min()), 0.0)
-        if (lost > killing + slack or lost < kept - slack
-                or energy_floor < lowest or energy_floor > killing / mass + floor_slack):
-            raise ConsistencyError(
-                f"classification criteria disagree on block {block}",
-                {"mass_loss": lost, "energy_floor": energy_floor, "killing": killing},
-            )
-        transient = bool(killed[idx].any())
-        per[f"z{i}"] = ComponentClassification(
-            block, not transient, transient, not transient,
-            float(np.abs(t1 - 1.0).max()), energy_floor,
+
+def _block_verdicts(eig, mu, k, rates, killed, mass_slack, blocks) -> tuple:
+    """The checks of :func:`classify` on a stack of k blocks, from their stacked eigendecomposition.
+
+    ``mu``, ``k``, ``rates`` (A(x, x) / mu(x)) and ``killed`` are (k, s),
+    ``mass_slack`` is TAU (1 + gamma) sqrt(M), one or one per block, and
+    ``blocks()`` gives the split blocks, read only for Gershgorin's bound.
+    Returns, per block, whether a bound fails, the mass loss, the energy
+    floor, the killing K_B, the transient verdict and max |1 - T_1 1|.
+    """
+    t1 = semigroup_action(eig, 1.0, np.ones(mu.shape))
+    mass, killing = mu.sum(axis=-1), k.sum(axis=-1)
+    energy_floor, floor_slack = eig[0][:, 0], TAU * rates.max(axis=-1)
+    lowest = -floor_slack
+    low = energy_floor < lowest
+    if low.any():  # inside the validation margins: Gershgorin's bound for -L_B
+        a = blocks()
+        gershgorin = (2.0 * np.diagonal(a, axis1=-2, axis2=-1) - np.abs(a).sum(axis=-1)) / mu
+        lowest = np.where(low, lowest + np.minimum(gershgorin.min(axis=-1), 0.0), lowest)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflows only where slack is inf
+        slack = mass_slack * np.sqrt(mass)
+        lost, kept = mass - dots(mu, t1), dots(k, t1)
+        failed = ((lost > killing + slack) | (lost < kept - slack) | (energy_floor < lowest)
+                  | (energy_floor > killing / mass + floor_slack))
+    return failed, lost, energy_floor, killing, killed.any(axis=-1), np.abs(t1 - 1.0).max(axis=-1)
+
+
+def _classification(blocks, verdicts) -> Classification:
+    """The classification of ``blocks`` from the per-block columns of :func:`_block_verdicts`."""
+    failed, lost, energy_floor, killing, transient, mass_defect = verdicts
+    if failed.any():
+        b = int(np.argmax(failed))
+        raise ConsistencyError(
+            f"classification criteria disagree on block {blocks[b]}",
+            {"mass_loss": float(lost[b]), "energy_floor": float(energy_floor[b]),
+             "killing": float(killing[b])},
         )
-        (cons_points if not transient else trans_points).extend(block)
-
+    per, cons_points, trans_points = {}, [], []
+    for i, (block, t, m, floor) in enumerate(zip(blocks, transient.tolist(), mass_defect.tolist(),
+                                                  energy_floor.tolist())):
+        per[f"z{i}"] = ComponentClassification(block, not t, t, not t, m, floor)
+        (trans_points if t else cons_points).extend(block)
     return Classification(
         conservative=all(c.conservative for c in per.values()),
         transient=all(c.transient for c in per.values()),

@@ -181,7 +181,8 @@ def spy(monkeypatch, module, name, record):
 
 
 def spy_actions(monkeypatch):
-    """Record ``(size, t, transpose)`` of every semigroup action ``forms`` and ``ergodic`` apply."""
+    """Record ``(shape of x, t, transpose)`` of every semigroup action ``forms`` and ``ergodic``
+    apply: (s,) for one block of size s, (k, s) for a stack of k."""
     import ergodec.ergodic
     import ergodec.forms
     from ergodec._linalg import semigroup_action
@@ -189,7 +190,7 @@ def spy_actions(monkeypatch):
     calls = []
 
     def wrapper(eig, t, x, *, transpose=False):
-        calls.append((len(eig[0]), t, transpose))
+        calls.append((np.shape(x), t, transpose))
         return semigroup_action(eig, t, x, transpose=transpose)
 
     for module in (ergodec.ergodic, ergodec.forms):
@@ -198,11 +199,12 @@ def spy_actions(monkeypatch):
 
 
 def unflushed_semigroup_from_eig(eig, t):
-    """e^{tL} from the eigendecomposition with every weight exp(-t w) kept, w clipped at 0."""
+    """e^{tL} from the eigendecomposition, or a stack of them, with every weight exp(-t w) kept,
+    w clipped at 0."""
     w, v, sqrt_mu = eig
-    core = (v * np.exp(-t * np.clip(w, 0.0, None))) @ v.T
-    core /= sqrt_mu[:, None]
-    core *= sqrt_mu[None, :]
+    core = (v * np.exp(-t * np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(v, -1, -2)
+    core /= sqrt_mu[..., :, None]
+    core *= sqrt_mu[..., None, :]
     return core
 
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -104,6 +105,54 @@ def test_girsanov_command(tmp_path, fx_edge, capsys):
     assert report["transformed"]["space"]["mu"] == [4.0, 1.0]
     assert report["transformed"]["edges"][0][2] == 2.5
     assert report["identity_defect"] <= 1e-12
+
+
+@pytest.mark.parametrize("mu, phi, point", [
+    ([1.0] * 5, "1e200,1,1,1,1", "'a', phi^2 mu = (1.000e+200)^2 * 1.000e+00 overflows to inf"),
+    ([1.0] * 5, "1e-200,1,1,1,1", "'a', phi^2 mu = (1.000e-200)^2 * 1.000e+00 underflows to 0"),
+    ([1.7e308, 1.0, 1.0], "random", "'a', phi^2 mu = (1.137e+00)^2 * 1.700e+308 overflows to inf"),
+], ids=["overflow", "underflow", "random-near-float-max"])
+def test_girsanov_refuses_a_reweighted_measure_out_of_floats(tmp_path, capsys, mu, phi, point):
+    # Each input weight is positive and finite: the refusal names phi^2 mu.
+    points = "abcde"[:len(mu)]
+    document = {"space": {"points": list(points), "mu": mu},
+                "edges": [[x, y, 1.0] for x, y in zip(points, points[1:])]}
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(document))
+    assert main(["girsanov", "--input", str(path), "--phi", phi]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: the reweighted measure phi^2 mu does not fit in floats: at point {point}\n"
+    )
+
+
+GIRSANOV_LARGE_ENERGIES = {"space": {"points": ["a", "b", "c"], "mu": [1, 2, 3]},
+                           "edges": [["a", "b", 1e9], ["b", "c", 3e9]]}
+
+
+def test_girsanov_defect_is_relative_to_the_energy_scale(tmp_path, monkeypatch, capsys):
+    # The identity defect is divided by 1 + max |A| of the transformed form,
+    # so roundoff at energies of order 1e9 passes; a transform that breaks
+    # the identity still exits 3.
+    import ergodec.cli as cli
+
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(GIRSANOV_LARGE_ENERGIES))
+    assert main(["girsanov", "--input", str(path), "--phi", "random"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert 0.0 < report["identity_defect"] <= 1e-15
+
+    from ergodec import DirichletForm
+
+    transform = cli.girsanov_transform
+
+    def broken(form, phi):
+        transformed = transform(form, phi)
+        return DirichletForm.from_jump_kernel(transformed.space, 1.001 * transformed.jump)
+
+    monkeypatch.setattr(cli, "girsanov_transform", broken)
+    assert main(["girsanov", "--input", str(path), "--phi", "random"]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["identity_defect"] > 1e-5
 
 
 def test_girsanov_killing_exits_2(tmp_path, fx_kill, capsys):
@@ -413,29 +462,37 @@ def test_form_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, fx_twin):
     assert capsys.readouterr() == ("", f"error: the form in {path} does not fit in memory\n")
 
 
-# The sizes of the eigh calls of each command, from the size n of the form
+# The shapes of the eigh calls of each command, from the size n of the form
 # and the sizes of its invariant blocks.  verify_decomposition, the dense
-# oracle, takes the global eigendecomposition and one per fiber; classify
-# takes one per block, which on a form with one block is the global one.
-# In decompose each fiber classifies itself from the eigendecomposition the
-# oracle cached, and measures reads the blocks that classify read.
-EIGH_SIZES = {
-    "decompose": lambda n, blocks: [n, *blocks, *(blocks if len(blocks) > 1 else [])],
-    "verify": lambda n, blocks: [n, *blocks],
-    "classify": lambda n, blocks: blocks,
-    "measures": lambda n, blocks: blocks,
+# oracle, takes the global eigendecomposition and one stacked one per fiber
+# size; classify takes one stacked eigendecomposition per block size, which
+# on a form with one block is the global one.  In decompose each fiber
+# classifies itself from the stacks the oracle cached, and measures reads
+# the stacks that classify read.
+def stacks(blocks):
+    """The (k, s, s) shapes of the blocks stacked by size."""
+    return [(k, s, s) for s, k in Counter(blocks).items()]
+
+
+EIGH_SHAPES = {
+    "decompose": lambda n, blocks: [(n, n), *stacks(blocks), *(stacks(blocks) if len(blocks) > 1 else [])],
+    "verify": lambda n, blocks: [(n, n), *stacks(blocks)],
+    "classify": lambda n, blocks: stacks(blocks) if len(blocks) > 1 else [(n, n)],
+    "measures": lambda n, blocks: stacks(blocks) if len(blocks) > 1 else [(n, n)],
     "superpose": lambda n, blocks: [],
     "girsanov": lambda n, blocks: [],
 }
 EIGEN_FORMS = {
     "single-block": lambda: random_form(2, 25, 1),
     "multi-block": lambda: random_form(1, 30, 4, 0.3),
+    "many-blocks": lambda: random_form(5, 200, 60, 0.1),
 }
 
 
-@pytest.mark.parametrize("command", sorted(EIGH_SIZES))
+@pytest.mark.parametrize("command", sorted(EIGH_SHAPES))
 @pytest.mark.parametrize("instance", sorted(EIGEN_FORMS))
 def test_eigendecompositions_of_each_command(tmp_path, monkeypatch, instance, command):
+    import ergodec.ergodic
     import ergodec.forms
 
     from ergodec import invariant_sets
@@ -444,16 +501,19 @@ def test_eigendecompositions_of_each_command(tmp_path, monkeypatch, instance, co
     path = write_form(tmp_path, form)
     blocks = [len(block) for block in invariant_sets(form)]
     assert (len(blocks) == 1) == (instance == "single-block")
-    eigh = spy(monkeypatch, np.linalg, "eigh", len)
-    eigvalsh = spy(monkeypatch, np.linalg, "eigvalsh", len)
-    products = spy(monkeypatch, ergodec.forms, "semigroup_from_eig", lambda eig, t: len(eig[0]))
+    if instance == "many-blocks":  # blocks of one point, and stacks of more than one block
+        assert 1 in blocks and len(set(blocks)) < len(blocks) // 4
+    eigh = spy(monkeypatch, np.linalg, "eigh", np.shape)
+    eigvalsh = spy(monkeypatch, np.linalg, "eigvalsh", np.shape)
+    products = [spy(monkeypatch, module, "semigroup_from_eig", lambda eig, t: np.shape(eig[1]))
+                for module in (ergodec.forms, ergodec.ergodic)]
     phi = ["--phi", "random"] if command == "girsanov" else []
     code = main([command, "--input", path, "--out", str(tmp_path / "out.json"), *phi])
     assert code == (2 if command == "girsanov" and not form.killing_free else 0)
-    assert sorted(eigh) == sorted(EIGH_SIZES[command](form.n, blocks))
+    assert sorted(eigh) == sorted(EIGH_SHAPES[command](form.n, blocks))
     assert eigvalsh == []
     if command in ("classify", "measures"):
-        assert products == []  # T_1 is applied to vectors, never built as a matrix
+        assert products == [[], []]  # T_1 is applied to vectors, never built as a matrix
 
 
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
@@ -721,7 +781,7 @@ DEFERRED = {"ergodec.ergodic", "ergodec.direct_integral", "ergodec.generate"}
 @pytest.mark.parametrize("command, document, code, loads, skips", [
     ("classify", "markov", 0, set(), DEFERRED),
     ("verify", "non-markov", 2, set(), DEFERRED),
-    ("decompose", "markov", 0, {"ergodec.ergodic", "ergodec.direct_integral"}, {"ergodec.generate"}),
+    ("decompose", "markov", 0, {"ergodec.ergodic"}, {"ergodec.direct_integral", "ergodec.generate"}),
 ])
 def test_commands_load_only_the_modules_they_run(tmp_path, fx_twin, command, document, code, loads, skips):
     if document == "markov":
@@ -770,13 +830,16 @@ def test_classify_reads_its_edges_without_a_form_document(
 
 
 def test_decompose_computes_each_invariant_partition_once(tmp_path, monkeypatch, capsys):
+    import ergodec.ergodic
     import ergodec.forms
 
     from ergodec import random_form
 
     path = write_form(tmp_path, random_form(5, 40, 1))
     forms = spy(monkeypatch, ergodec.forms, "_jump_components", id)
+    fibers = spy(monkeypatch, ergodec.ergodic, "_irreducible", lambda stack: stack.shape)
     assert main(["decompose", "--input", path]) == 0
-    # The global form and its one fiber, each searched once.
-    assert len(forms) == len(set(forms)) == 2
+    # The global form is searched once, and its one fiber once, as a stack of one.
+    assert len(forms) == 1
+    assert fibers == [(1, 40, 40)]
     capsys.readouterr()

@@ -458,7 +458,7 @@ def test_fibers_that_underflow_are_refused(mu, jump, killing, message):
 
 @pytest.mark.parametrize("form", multi_block_forms())
 def test_block_assembly_matches_naive_sum(form):
-    from ergodec.ergodic import _assemble_blocks
+    from ergodec._linalg import _assemble_blocks
     from ergodec.forms import resolvent, semigroup
 
     from conftest import naive_block_sum
@@ -540,7 +540,9 @@ def assert_weight_flush_changes_no_bits(form):
     dec = decompose(form)
     flushed = verify_decomposition(dec, times=times)
     flushed_semigroups = [semigroup(form, t) for t in times]
-    with mock.patch.object(ergodec.forms, "semigroup_from_eig", unflushed_semigroup_from_eig):
+    # The global products are built in forms, the stacked fiber products in ergodic.
+    with mock.patch.object(ergodec.forms, "semigroup_from_eig", unflushed_semigroup_from_eig), \
+            mock.patch.object(ergodec.ergodic, "semigroup_from_eig", unflushed_semigroup_from_eig):
         unflushed = verify_decomposition(dec, times=times)
         unflushed_semigroups = [semigroup(form, t) for t in times]
     for name in ("form_defect", "isometry_defect"):
@@ -606,7 +608,10 @@ def test_decompose_and_verify_eigendecomposition_count(monkeypatch, killing_prob
         monkeypatch.setattr(np.linalg, name, counting(name))
     dec = decompose(form)
     assert verify_decomposition(dec).passed
-    assert calls == {"eigh": 1 + len(dec.fibers), "eigvalsh": 0}
+    # The global form, and the fibers as one stack per size.
+    sizes = {len(idx) for idx in dec.quotient._layout}
+    assert len(sizes) < len(dec.fibers)
+    assert calls == {"eigh": 1 + len(sizes), "eigvalsh": 0}
 
 
 def test_verify_reads_the_decompose_reassembly(monkeypatch):
@@ -758,13 +763,14 @@ def test_merged_spectrum_is_within_weyl_bound_of_the_global_one(form):
     # part of S off the blocks and the dropped couplings on the diagonal
     # (Weyl's inequality), plus roundoff of TAU times the scale of S.
     from ergodec._tolerance import TAU
-    from ergodec.forms import _generator_scale, _split_block
+    from ergodec._linalg import _split_blocks
+    from ergodec.forms import _generator_scale
 
     sqrt_mu = np.sqrt(form.space.mu)
     split = np.zeros((form.n, form.n))
     for block in invariant_sets(form):
         idx = form.space.indices_of(block)
-        split[np.ix_(idx, idx)] = _split_block(form.matrix, idx)
+        split[np.ix_(idx, idx)] = _split_blocks(form.matrix, idx[None], form._dropped)[0]
     scale = sqrt_mu[:, None] * sqrt_mu[None, :]
     sym, dropped = form.matrix / scale, (form.matrix - split) / scale
     bound = np.linalg.norm(dropped, 2) + TAU * _generator_scale(form)
@@ -780,20 +786,27 @@ def test_measures_run_no_global_eigendecomposition(monkeypatch):
 
     form = random_form(6, 40, 5)
     blocks = sorted(len(idx) for idx in decompose(form).quotient._layout)
-    sizes = spy(monkeypatch, np.linalg, "eigh", len)
+    stacks = len(set(blocks))
+    shapes = spy(monkeypatch, np.linalg, "eigh", np.shape)
     products = spy(monkeypatch, ergodec.forms, "semigroup_from_eig", lambda eig, t: len(eig[0]))
     actions = spy_actions(monkeypatch)
+
+    def covered(transposed):
+        """The block sizes the actions applied, one per row of each stacked action."""
+        return sorted(s for (k, s), t, transpose in actions if transpose == transposed for _ in range(k))
+
     ergodic_measures(form)
-    # One mass action T_1 1 and one stationarity action T_1^T per fiber.
-    assert sorted(n for n, t, transpose in actions if not transpose) == blocks
-    assert sorted(n for n, t, transpose in actions if transpose) == blocks
+    # One mass action T_1 1 and one stationarity action T_1^T per stack of blocks of one size.
+    assert covered(False) == covered(True) == blocks
+    assert len(actions) == 2 * stacks
     actions.clear()
     decompose_invariant_measure(form, form.space.mu)
-    # ... and one invariance action T_1^T per fiber.
-    assert sorted(n for n, t, transpose in actions if not transpose) == blocks
-    assert sorted(n for n, t, transpose in actions if transpose) == sorted(blocks * 2)
+    # ... and one invariance action T_1^T per stack.
+    assert covered(False) == blocks
+    assert covered(True) == sorted(blocks * 2)
+    assert len(actions) == 3 * stacks
     assert {t for _, t, _ in actions} == {1.0}
-    assert sizes and max(sizes) < form.n
+    assert len(shapes) == stacks and max(shape[-1] for shape in shapes) < form.n
     assert products == []
 
 
@@ -801,11 +814,13 @@ def test_measures_build_no_fiber(monkeypatch):
     import ergodec.ergodic
 
     form = random_form(6, 40, 5, killing_prob=0.3)
-    fibers = spy(monkeypatch, ergodec.ergodic, "_split_block", lambda matrix, idx, mass: len(idx))
+    fibers = spy(monkeypatch, ergodec.ergodic, "_split_blocks",
+                 lambda matrix, positions, dropped, mass: positions.shape)
     assert ergodic_measures(form)
     assert fibers == []
     decompose(form)
-    assert len(fibers) == 5
+    assert sum(k for k, _ in fibers) == 5
+    assert len(fibers) == len({s for _, s in fibers})  # one stack per fiber size
 
 
 def test_verification_computes_no_fiber_generator_defect(monkeypatch):
@@ -816,13 +831,14 @@ def test_verification_computes_no_fiber_generator_defect(monkeypatch):
     from conftest import reference_decompose_residuals
 
     dec = decompose(random_form(3, 30, 4, killing_prob=0.2))
-    defects = spy(monkeypatch, ergodec.ergodic, "_generator_defect", lambda form, idx, fiber: len(idx))
+    defects = spy(monkeypatch, ergodec.ergodic, "_generator_defect",
+                  lambda form, positions, matrices, mu: positions.shape)
     assert verify_decomposition(dec).passed
     assert defects == []
     expected = reference_decompose_residuals(dec)
     assert dec.residuals.keys() == expected.keys()
     assert all(same_bits(dec.residuals[name], value) for name, value in expected.items())
-    assert len(defects) == 4
+    assert sum(k for k, _ in defects) == 4  # each fiber once, in one stack per size
 
 
 def test_split_block_copies_rows_in_bounded_chunks():
@@ -831,7 +847,7 @@ def test_split_block_copies_rows_in_bounded_chunks():
     # copies are alive at once: the next is made before the last is freed.
     import tracemalloc
 
-    from ergodec.forms import _ROW_CHUNK, _split_block
+    from ergodec._linalg import _ROW_CHUNK, StackedLayout, _dropped_couplings, _split_blocks
 
     rng = np.random.default_rng(5)
     n = 1000
@@ -844,9 +860,11 @@ def test_split_block_copies_rows_in_bounded_chunks():
     expected = matrix[np.ix_(idx, idx)] / 3.0
     np.fill_diagonal(expected, np.maximum(np.diagonal(expected) + rows.sum(axis=1) / 3.0, 0.0))
     del rows
+    layout = StackedLayout([idx, np.setdiff1d(np.arange(n), idx)])
     tracemalloc.start()
     try:
-        block = _split_block(matrix, idx, 3.0)
+        dropped = _dropped_couplings(matrix, layout)
+        (block,) = _split_blocks(matrix, idx[None], dropped, 3.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -876,3 +894,149 @@ def test_single_block_residuals_leave_the_form_matrix_unchanged():
     assert verify_decomposition(dec).passed
     assert dec.residuals["fiber_generator"] < 1e-12
     assert np.array_equal(form.matrix, before) and not form.matrix.flags.writeable
+
+
+# ------------------------------------------------------- stacked block algebra
+
+
+def reference_split_block(form, idx):
+    """The block at ``idx`` of the form split over its invariant blocks, by the per-block loop the
+    stacked layout replaced: the couplings off the block, summed from its row copies, join the
+    diagonal."""
+    block = form.matrix[np.ix_(idx, idx)] / 1.0
+    if len(idx) < form.n:
+        rows = form.matrix[idx]
+        rows[:, idx] = 0.0
+        dropped = rows.sum(axis=1)
+        if dropped.any():
+            np.fill_diagonal(block, np.maximum(np.diagonal(block) + dropped, 0.0))
+    return block
+
+
+def stacked_forms():
+    """Blocks of one point and many blocks of one size with killing, blocks that dropped a
+    coupling, a single block, and the multi-block forms."""
+    return [random_form(5, 200, 60, 0.1), coupled_below_threshold(0.999e-12),
+            random_form(2, 25, 1), random_form(6, 30, 1, killing_prob=0.2), *multi_block_forms()]
+
+
+@pytest.mark.parametrize("form", stacked_forms(), ids=lambda form: f"n{form.n}-blocks{len(invariant_sets(form))}")
+def test_stacked_block_algebra_equals_per_block_calls(form):
+    # Each block's and each fiber's eigendecomposition, semigroup, resolvent
+    # and T_1 actions, taken on the stacks, have the bits of the per-block
+    # calls on its own matrix.
+    from ergodec._linalg import resolvent_from_eig, semigroup_action, semigroup_from_eig, symmetrized_eig
+
+    def same(a, b):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    dec = decompose(form)
+    verify_decomposition(dec)
+    stacks = form._layout.stacks
+    assert sum(len(members) for members, _ in stacks) == len(dec.fibers) == len(invariant_sets(form))
+    x = np.random.default_rng(form.n).uniform(-1.0, 1.0, size=form.n)
+    for (members, positions), block_eig, fiber_eig in zip(stacks, form._block_eigs, dec._fiber_eigs):
+        assert positions.shape == (len(members), positions.shape[1])
+        xs = x[positions]
+        block_actions = {tr: semigroup_action(block_eig, 1.0, xs, transpose=tr) for tr in (False, True)}
+        fiber_actions = {tr: semigroup_action(fiber_eig, 1.0, xs, transpose=tr) for tr in (False, True)}
+        ones = semigroup_action(block_eig, 1.0, np.ones(positions.shape))
+        products = {(op, p): op(fiber_eig, p) for op, ps in ((semigroup_from_eig, (0.1, 1.0, 10.0)),
+                                                              (resolvent_from_eig, (0.5, 1.0, 10.0)))
+                    for p in ps}
+        for j, b in enumerate(members.tolist()):
+            idx, fiber = positions[j], dec.fibers[b]
+            if form._layout.count == 1:
+                block = symmetrized_eig(form.matrix, form.space.mu)
+            else:
+                block = symmetrized_eig(reference_split_block(form, idx), form.space.mu[idx])
+            own = symmetrized_eig(fiber.matrix, fiber.space.mu)
+            for got, want in ((block_eig, block), (fiber_eig, own)):
+                assert all(same(g[j], w) for g, w in zip(got, want))
+            for (op, p), stacked in products.items():
+                assert same(stacked[j], op(own, p)), (op.__name__, p)
+            for tr in (False, True):
+                assert same(block_actions[tr][j], semigroup_action(block, 1.0, x[idx], transpose=tr))
+                assert same(fiber_actions[tr][j], semigroup_action(own, 1.0, x[idx], transpose=tr))
+            assert same(ones[j], semigroup_action(block, 1.0, np.ones(len(idx))))
+
+
+def test_stacked_layout_groups_blocks_by_size():
+    from ergodec._linalg import StackedLayout
+
+    layout = StackedLayout([np.array([4, 0]), np.array([2]), np.array([1, 3]), np.array([5])])
+    assert layout.count == 4
+    assert [m.tolist() for m, _ in layout.stacks] == [[0, 2], [1, 3]]
+    assert [p.tolist() for _, p in layout.stacks] == [[[4, 0], [1, 3]], [[2], [5]]]
+    assert layout.block_of.tolist() == [0, 2, 1, 2, 0, 3]
+    assert layout.blockwise([np.array([10, 12]), np.array([11, 13])]).tolist() == [10, 11, 12, 13]
+    rows = [np.array([[1.0, 2.0], [5.0, 6.0]]), np.array([[3.0], [7.0]])]
+    assert layout.concatenate(rows).tolist() == [1.0, 2.0, 3.0, 5.0, 6.0, 7.0]
+    arrays = [np.full((2, 2), b) for b in range(4)]
+    one = np.eye(3)
+    stacked = StackedLayout([np.arange(3)]).stack([one])
+    assert stacked[0].shape == (1, 3, 3) and np.shares_memory(stacked[0], one)
+    assert [s[:, 0, 0].tolist() for s in layout.stack(arrays)] == [[0, 2], [1, 3]]
+
+
+@pytest.mark.parametrize("form", [random_form(11, 500, 1, 0.0, 0.05), random_form(11, 500, 125, 0.1),
+                                  random_form(5, 200, 60, 0.1), *multi_block_forms()[:2]],
+                         ids=lambda form: f"n{form.n}-blocks{len(invariant_sets(form))}")
+def test_isometry_defect_equals_the_family_norms(form):
+    # The isometry check, a stack at a time, has the bits of the diagonal
+    # embedding and the family norm applied to one vector at a time.
+    from ergodec import assemble_l2
+    from ergodec._stream import Seed0Stream
+
+    dec = decompose(form)
+    report = verify_decomposition(dec)
+    normalized, rng = dec.quotient.space, Seed0Stream()
+    embed = assemble_l2(normalized, dec.family)
+    defects = []
+    for _ in range(20):
+        f = rng.uniform(-1.0, 1.0, size=form.n)
+        defects.append(abs(dec.family.norm(embed(f)) - normalized.norm(f)))
+    assert same_bits(report.isometry_defect, float(np.max(defects)))
+    assert report.fibers_irreducible == tuple(len(invariant_sets(f)) == 1 for f in dec.fibers)
+
+
+def test_stacked_irreducibility_matches_invariant_sets():
+    # Each matrix of a stack is searched with the threshold of its own
+    # largest jump: a path in shuffled order, two paths, a path cut by a
+    # jump below the threshold, a star and no jump at all.
+    from ergodec.forms import _irreducible
+
+    s, order = 6, np.random.default_rng(3).permutation(6)
+    edges = {
+        "path": [(order[i], order[i + 1], 1.0) for i in range(s - 1)],
+        "two": [(0, 1, 1.0), (1, 2, 2.0), (3, 4, 1.0), (4, 5, 1.0)],
+        "weak": [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 0.5e-12), (3, 4, 1.0), (4, 5, 1.0)],
+        "star": [(0, x, 0.5 * x) for x in range(1, s)],
+        "none": [],
+    }
+    space = validate_space((f"p{i}", 0.5 + i) for i in range(s))
+    matrices, expected = [], []
+    for kind, kind_edges in edges.items():
+        jump = np.zeros((s, s))
+        for x, y, w in kind_edges:
+            jump[x, y] = jump[y, x] = w
+        form = DirichletForm.from_jump_kernel(space, jump, [0.3, 0.0, 0.0, 0.0, 0.0, 0.0])
+        matrices.append(form.matrix)
+        expected.append(len(invariant_sets(form)) == 1)
+    assert expected == [True, False, False, True, False]
+    assert _irreducible(np.stack(matrices)).tolist() == expected
+    assert _irreducible(np.stack(matrices[::-1])).tolist() == expected[::-1]
+    assert _irreducible(np.ones((3, 1, 1))).tolist() == [True, True, True]
+
+
+def test_reducible_fiber_fails_verification_and_classifies_its_blocks(fx_twin):
+    # A fiber swapped for one that splits in two: the oracle reports it, and
+    # the fiber is classified over its own two blocks, as classify does.
+    dec = decompose(fx_twin)
+    split = DirichletForm.from_jump_kernel(dec.fibers[0].space, np.zeros((2, 2)), [0.0, 1.0])
+    object.__setattr__(dec, "fibers", (split, dec.fibers[1]))
+    report = verify_decomposition(dec)
+    assert report.fibers_irreducible == (False, True) and not report.passed
+    per_fiber = classification_decomposition(dec).per_fiber
+    assert per_fiber[0] == classify(split) and len(per_fiber[0].per_component) == 2
+    assert per_fiber[1] == classify(dec.fibers[1])

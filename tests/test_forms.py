@@ -943,8 +943,28 @@ def test_girsanov_near_float_max_is_warning_free():
     with np.errstate(all="raise"):
         assert np.array_equal(carre_du_champ(form)(np.array([1.0, 0.0, 1.0])), [0.0, 0.5, 0.5])
         assert girsanov_transform(form, np.array([0.5, 1.0, 2.0])).space.mu[0] == 0.25 * 1.7e308
-        with pytest.raises(NonFiniteError, match="infinite weight at position 0"):
+        with pytest.raises(NotRepresentableError, match=r"phi\^2 mu = \(1\.200e\+00\)\^2 \* "
+                                                        r"1\.700e\+308 overflows to inf"):
             girsanov_transform(form, np.array([1.2, 1.0, 1.0]))
+
+
+@pytest.mark.parametrize("mu, phi, message", [
+    ([1.0] * 5, [1e200, 1.0, 1.0, 1.0, 1.0], "at point 'p0', phi^2 mu = (1.000e+200)^2 * 1.000e+00 overflows to inf"),
+    ([1.0] * 5, [1.0, 1e-200, 1.0, 1.0, 1.0], "at point 'p1', phi^2 mu = (1.000e-200)^2 * 1.000e+00 underflows to 0"),
+    ([1e-300, 1.0], [1e-20, 1.0], "at point 'p0', phi^2 mu = (1.000e-20)^2 * 1.000e-300 underflows to 0"),
+    ([1e-100, 1.0], [1.0, 1e155], "at point 'p1', phi^2 mu = (1.000e+155)^2 * 1.000e+00 overflows to inf"),
+    ([6e307, 6e307], [1.3, 1.3], "its total mass overflows to inf"),
+])
+def test_girsanov_names_the_reweighted_measure_that_leaves_the_floats(mu, phi, message):
+    # The input weights are positive and finite; phi^2 mu is not, or its total
+    # overflows, and the refusal names it, not an input weight.
+    space = validate_space((f"p{i}", w) for i, w in enumerate(mu))
+    jump = np.ones((len(mu), len(mu)))
+    form = DirichletForm.from_jump_kernel(space, jump)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        with pytest.raises(NotRepresentableError) as info:
+            girsanov_transform(form, np.array(phi))
+    assert str(info.value) == f"the reweighted measure phi^2 mu does not fit in floats: {message}"
 
 
 def test_girsanov_constant_density_rescales(fx_twin):
@@ -1004,11 +1024,11 @@ def test_classification_disagreement_is_typed():
     cls = classify(form)
     assert cls.transient and not cls.conservative and not form.killing_free
     assert ergodic_measures(form) == ()
-    ((idx, (w, v, sqrt_mu)),) = form._block_eigs
+    ((w, v, sqrt_mu),) = form._block_eigs  # one block: a stack of one
     for wrong in ((w + np.log(2.0), v, sqrt_mu), (w, v * np.sqrt(1.0 + 1e-9), sqrt_mu),
                   (w - 1e-3, v, sqrt_mu)):
         perturbed = DirichletForm.from_jump_kernel(space, jump, [1e-11, 0.0, 0.0])
-        vars(perturbed)["_block_eigs"] = ((idx, wrong),)
+        vars(perturbed)["_block_eigs"] = (wrong,)
         with pytest.raises(ConsistencyError) as info:
             classify(perturbed)
         assert isinstance(info.value, ErgodecError)
