@@ -1,12 +1,13 @@
 """Shared dense linear algebra helpers.
 
-Block-diagonal matrices are read and written through a layout: the blocks
-of a :class:`StackedLayout` a size at a time, through :func:`_stack_index`,
-and those of a direct integral one at a time by :func:`_assemble_blocks`.
-The rest work on the symmetrization D^{1/2} (-L) D^{-1/2} of a generator, where
-D = diag(mu): that matrix equals D^{-1/2} A D^{-1/2} for an energy matrix A,
-is symmetric, and a single eigendecomposition serves the semigroup, the
-resolvent and the Yosida approximations at every parameter.
+Every set of disjoint blocks (invariant sets, quotient blocks, fibers) is a
+:class:`StackedLayout`, which reads and writes block-diagonal matrices a
+size at a time through :func:`_stack_index`; :meth:`StackedLayout.assemble`
+writes them all.  The rest work on the symmetrization D^{1/2} (-L) D^{-1/2}
+of a generator, where D = diag(mu): that matrix equals D^{-1/2} A D^{-1/2}
+for an energy matrix A, is symmetric, and a single eigendecomposition
+serves the semigroup, the resolvent and the Yosida approximations at every
+parameter.
 
 The functions of an eigendecomposition take one (s, s) matrix or a stack
 (k, s, s) of them.  :class:`StackedLayout` groups the blocks of a layout by
@@ -16,6 +17,8 @@ so each block gets the bits its own call would give.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -50,47 +53,56 @@ def _stack_index(positions: np.ndarray):
     return positions[:, :, None], positions[:, None, :]
 
 
-def _assemble_blocks(out: np.ndarray, layout, blocks) -> np.ndarray:
-    """Write each block at its layout positions of ``out``, in place.
-
-    The blocks of a layout are disjoint, so on a zero buffer this is the
-    exact block-diagonal sum, and a buffer can be reused for another set of
-    blocks over the same layout.
-    """
-    for idx, block in zip(layout, blocks):
-        out[_block(idx)] = block
-    return out
-
-
 class StackedLayout:
-    """The disjoint blocks of a layout of the positions 0, ..., n - 1, grouped by size.
+    """Disjoint blocks of positions: ``blocks``, read-only and in layout order, grouped by size.
 
     ``stacks`` holds one ``(members, positions)`` pair per block size, in the
     order the sizes first appear: the layout numbers of the k blocks of that
-    size, ascending, and their (k, s) positions.  ``block_of`` holds the
-    layout number of the block of each position.  Arrays computed per stack
+    size, ascending, and their (k, s) positions.  Arrays computed per stack
     are put back in layout order by :meth:`blockwise` and :meth:`concatenate`.
+    ``block_of``, built on first use, holds the layout number of the block of
+    each position when the blocks cover 0, ..., n - 1; the supports of a
+    separated family may leave points out, and are still assembled.
     """
 
     def __init__(self, layout):
+        self.blocks = tuple(np.array(idx, dtype=int) for idx in layout)
+        for idx in self.blocks:
+            idx.flags.writeable = False
         groups = {}
-        for b, idx in enumerate(layout):
+        for b, idx in enumerate(self.blocks):
             groups.setdefault(len(idx), []).append(b)
-        self.count = len(layout)
+        self.count = len(self.blocks)
         self.stacks = tuple(
-            (np.array(members), np.array([layout[b] for b in members], dtype=int).reshape(-1, s))
+            (np.array(members), np.array([self.blocks[b] for b in members], dtype=int).reshape(-1, s))
             for s, members in groups.items()
         )
-        starts = np.cumsum([0] + [len(idx) for idx in layout])
+        starts = np.cumsum([0] + [len(idx) for idx in self.blocks])
         self._offsets = tuple(starts[m][:, None] + np.arange(p.shape[1]) for m, p in self.stacks)
-        self.block_of = np.empty(starts[-1], dtype=int)
+
+    @cached_property
+    def block_of(self) -> np.ndarray:
+        out = np.empty(sum(len(idx) for idx in self.blocks), dtype=int)
         for members, positions in self.stacks:
-            self.block_of[positions] = members[:, None]
+            out[positions] = members[:, None]
+        return out
 
     def stack(self, arrays) -> tuple:
         """The arrays of the blocks, in layout order, stacked per size; a stack of one is a view."""
         return tuple(arrays[m[0]][None] if len(m) == 1 else np.stack([arrays[b] for b in m])
                      for m, _ in self.stacks)
+
+    def assemble(self, out: np.ndarray, blocks, weights=None) -> np.ndarray:
+        """Write the blocks, in layout order and each times its entry of ``weights`` if given, at
+        their positions of ``out``, a stack at a time and in place.
+
+        On a zero buffer this is the exact block-diagonal sum, and a buffer
+        can be reused for another set of blocks over the same layout.
+        """
+        for (members, positions), stack in zip(self.stacks, self.stack(blocks)):
+            out[_stack_index(positions)] = (stack if weights is None
+                                            else weights[members][:, None, None] * stack)
+        return out
 
     def blockwise(self, values) -> np.ndarray:
         """One value per block, in layout order, from the (k, ...) arrays of the stacks."""

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from ._linalg import (
-    _assemble_blocks,
+    StackedLayout,
     _block,
     chebyshev_coefficients,
     chebyshev_matrix,
@@ -53,22 +53,23 @@ class L2Embedding:
     separated: bool
 
     @cached_property
-    def _support_indices(self) -> tuple:
-        return tuple(
-            self.space.indices_of(self.family.fibers[z].support)
-            for z in self.family.index.labels
-        )
+    def _layout(self) -> StackedLayout:
+        """The fiber supports in index label order; they overlap unless the family is separated."""
+        return StackedLayout([self.space.indices_of(f.support) for f in self.family.fiber_spaces()])
+
+    def _check_separated(self) -> None:
+        """Raise :class:`NotSeparatedError`, with a point of two supports, unless separated."""
+        if not self.separated:
+            raise NotSeparatedError(witness=is_separated(self.family)[1])
 
     def __call__(self, f) -> tuple:
         f = np.asarray(f, dtype=float)
-        return tuple(f[idx] for idx in self._support_indices)
+        return tuple(f[idx] for idx in self._layout.blocks)
 
     def inverse(self, field) -> np.ndarray:
-        if not self.separated:
-            witness = is_separated(self.family)[1]
-            raise NotSeparatedError(witness=witness)
+        self._check_separated()
         out = np.zeros(self.space.n)
-        for idx, u in zip(self._support_indices, field):
+        for idx, u in zip(self._layout.blocks, field):
             out[idx] = np.asarray(u, dtype=float)
         return out
 
@@ -110,10 +111,8 @@ def assemble_lp(
     """
     if p < 1:
         raise InvalidExponentError(f"p must satisfy p >= 1, got {p}")
-    separated, witness = is_separated(family)
-    if not separated:
-        raise NotSeparatedError(witness=witness)
     embed = assemble_l2(space, family)
+    embed._check_separated()
     rng = Seed0Stream() if rng is None else rng
 
     defect = 0.0
@@ -158,7 +157,7 @@ class DecomposableOperator:
     @cached_property
     def assembled(self) -> np.ndarray:
         n = self.family.dim
-        return _assemble_blocks(np.zeros((n, n)), self.family._layout, self.blocks)
+        return self.family._layout.assemble(np.zeros((n, n)), self.blocks)
 
     @cached_property
     def operator_norm(self) -> float:
@@ -201,8 +200,8 @@ def decompose_operator(matrix, structure) -> DecomposableOperator:
     else:
         family, layout, weights = structure, structure._layout, structure.stacked_weights
 
-    blocks = tuple(matrix[_block(idx)].copy() for idx in layout)  # not views of the input
-    block_part = _assemble_blocks(np.zeros_like(matrix), layout, blocks)
+    blocks = tuple(matrix[_block(idx)].copy() for idx in layout.blocks)  # not views of the input
+    block_part = layout.assemble(np.zeros_like(matrix), blocks)
     off_norm = weighted_operator_norm(matrix - block_part, weights)
     if off_norm > TAU * _matrix_scale(matrix):
         raise NotDecomposableError(off_norm)
@@ -235,7 +234,7 @@ def commutes_with_diagonalizables(matrix, family: MeasureFamily):
     """
     matrix = np.asarray(matrix, dtype=float)
     scale = _matrix_scale(matrix)
-    for z, idx in zip(family.index.labels, family._layout):
+    for z, idx in zip(family.index.labels, family._layout.blocks):
         ind = np.zeros(family.dim)
         ind[idx] = 1.0
         commutator = matrix * ind[None, :] - ind[:, None] * matrix
@@ -290,8 +289,7 @@ class DirectIntegralForm:
     @cached_property
     def assembled_matrix(self) -> np.ndarray:
         n = self.family.dim
-        weighted = (nu * m for nu, m in zip(self.family.index.nu, self.matrices))
-        return _assemble_blocks(np.zeros((n, n)), self.family._layout, weighted)
+        return self.family._layout.assemble(np.zeros((n, n)), self.matrices, self.family.index.nu)
 
     def energy(self, field) -> float:
         return float(
@@ -389,16 +387,10 @@ def superpose(
     ``numpy.random.default_rng(0)``, reproduced without importing
     ``numpy.random``.
     """
-    separated, witness = is_separated(family)
-    if not separated:
-        raise NotSeparatedError(witness=witness)
     embed = assemble_l2(space, family)
+    embed._check_separated()
     form = assemble_form(family, fiber_forms)
-
-    weighted = (nu * m for nu, m in zip(family.index.nu, form.matrices))
-    energy_matrix = _assemble_blocks(
-        np.zeros((space.n, space.n)), embed._support_indices, weighted
-    )
+    energy_matrix = embed._layout.assemble(np.zeros((space.n, space.n)), form.matrices, family.index.nu)
 
     rng = Seed0Stream() if rng is None else rng
     defect = 0.0

@@ -18,7 +18,6 @@ from typing import Mapping
 import numpy as np
 
 from ._linalg import (
-    StackedLayout,
     _split_blocks,
     _stack_index,
     dots,
@@ -75,20 +74,18 @@ def _generator_defect(form: DirichletForm, positions: np.ndarray, matrices: np.n
     return _max_abs_difference(defect, block_generator)
 
 
-def _reassembled_energy(quotient: QuotientMap, fibers, f, g) -> float:
-    """sum_z nu(z) E_z(f, g restricted to z) over the fiber forms of a quotient."""
+def _reassembled_energy(dec: ErgodicDecomposition, fibers, f, g) -> float:
+    """sum_z nu(z) E_z(f, g restricted to z) over fiber forms on the blocks of a decomposition."""
     f = np.asarray(f, dtype=float)
     g = f if g is None else np.asarray(g, dtype=float)
-    blocks = zip(quotient.index.nu, quotient._layout, fibers)
+    blocks = zip(dec.quotient.index.nu, dec.form._layout.blocks, fibers)
     return sum(float(w) * fiber.energy(f[idx], g[idx]) for w, idx, fiber in blocks)
 
 
-def _reassembled_matrix(quotient: QuotientMap, layout: StackedLayout, fibers) -> np.ndarray:
-    """sum_z nu(z) A_z, the fiber matrices of a quotient weighted and assembled a stack at a time."""
-    out, nu = np.zeros((quotient.space.n, quotient.space.n)), quotient.index.nu
-    for (members, positions), a in zip(layout.stacks, layout.stack([f.matrix for f in fibers])):
-        out[_stack_index(positions)] = nu[members][:, None, None] * a
-    return out
+def _reassembled_matrix(dec: ErgodicDecomposition, fibers) -> np.ndarray:
+    """sum_z nu(z) A_z, fiber matrices on the blocks of a decomposition weighted and assembled."""
+    n = dec.form.n
+    return dec.form._layout.assemble(np.zeros((n, n)), [f.matrix for f in fibers], dec.quotient.index.nu)
 
 
 def _worst(residuals) -> float:
@@ -164,10 +161,10 @@ class ErgodicDecomposition:
         return dict(zip(self.labels, self.fibers))
 
     def reassembled_energy(self, f, g=None) -> float:
-        return self.normalization_scale * _reassembled_energy(self.quotient, self.fibers, f, g)
+        return self.normalization_scale * _reassembled_energy(self, self.fibers, f, g)
 
     def reassembled_matrix(self) -> np.ndarray:
-        out = _reassembled_matrix(self.quotient, self.form._layout, self.fibers)
+        out = _reassembled_matrix(self, self.fibers)
         out *= self.normalization_scale
         return out
 
@@ -189,9 +186,7 @@ def _representable(form: DirichletForm) -> tuple:
     tiny = np.finfo(float).tiny
     points, layout, mu = form.space.points, form._layout, form.space.mu
     masses = layout.blockwise([mu[p].sum(axis=-1) for _, p in layout.stacks])
-    block_mass = np.empty(form.n)
-    for members, positions in layout.stacks:
-        block_mass[positions] = masses[members][:, None]
+    block_mass = masses[layout.block_of]
     lost = _killed(form) & (form.killing > 0) & (form.killing / block_mass < tiny)
     if lost.any():
         x = int(np.argmax(lost))
@@ -201,7 +196,7 @@ def _representable(form: DirichletForm) -> tuple:
         )
     threshold = COMPONENT_THRESHOLD * _largest_jump(form.matrix)
     for b in np.flatnonzero(~(threshold / masses >= tiny)):  # the threshold over m_B underflows
-        idx, mass = form.space.indices_of(invariant_sets(form)[b]), masses[b]
+        idx, mass = layout.blocks[b], masses[b]
         for x in idx:
             row = form.matrix[x, idx]
             lost = (row < -threshold) & (row / mass > -tiny)
@@ -384,8 +379,7 @@ def carre_decomposition(
         g = rng.uniform(-1.0, 1.0, size=n)
         h = rng.uniform(-1.0, 1.0, size=n)
         global_density = gamma(f, g)
-        for z, fiber, fg in zip(dec.labels, dec.fibers, fiber_gammas):
-            idx = dec.quotient.block_indices(z)
+        for idx, fiber, fg in zip(dec.form._layout.blocks, dec.fibers, fiber_gammas):
             fz, gz, hz = f[idx], g[idx], h[idx]
             restriction = max(
                 restriction, float(np.abs(fg(fz, gz) - global_density[idx]).max())
@@ -427,7 +421,7 @@ class WeightedDecomposition:
     @cached_property
     def residuals(self) -> dict:
         """The max-abs defect of the lifted fibers' energy reassembly, computed on first access."""
-        reassembled = _reassembled_matrix(self.base.quotient, self.base.form._layout, self.lifted_forms)
+        reassembled = _reassembled_matrix(self.base, self.lifted_forms)
         return {"form_reassembly": _max_abs_difference(reassembled, self.form.matrix)}
 
     @property
@@ -435,7 +429,7 @@ class WeightedDecomposition:
         return self.base.quotient.index.nu
 
     def reassembled_energy(self, f, g=None) -> float:
-        return _reassembled_energy(self.base.quotient, self.lifted_forms, f, g)
+        return _reassembled_energy(self.base, self.lifted_forms, f, g)
 
 
 def decompose_weighted(form: DirichletForm, phi) -> WeightedDecomposition:
@@ -457,7 +451,7 @@ def decompose_weighted(form: DirichletForm, phi) -> WeightedDecomposition:
 
     lifted_measures = []
     lifted_forms = []
-    for idx, fiber in zip(base.quotient._layout, base.fibers):
+    for idx, fiber in zip(base.form._layout.blocks, base.fibers):
         phi_sq = phi[idx] ** 2
         measure = fiber.space.mu / phi_sq
         reweight = 0.5 * (phi_sq[:, None] + phi_sq[None, :])
@@ -553,6 +547,11 @@ def ergodic_measures(form: DirichletForm) -> tuple:
     :class:`ConsistencyError`.  T_1^T is applied to the blocks of one size
     together.  What :func:`decompose` refuses is refused.
     """
+    return tuple(m for _, m in _ergodic_measures(form))
+
+
+def _ergodic_measures(form: DirichletForm) -> tuple:
+    """The measures of :func:`ergodic_measures`, each after the layout number of its block."""
     _representable(form)
     classes = tuple(classify(form).per_component.values())
     mu, slack, layout = form.space.mu, TAU * (1.0 + _generator_scale(form)), form._layout
@@ -570,7 +569,7 @@ def ergodic_measures(form: DirichletForm) -> tuple:
             raise ConsistencyError(
                 f"stationarity check failed on component {comp.points}", {"stationarity": defect}
             )
-        out.append(ErgodicMeasure(comp.points, np.where(layout.block_of == b, normalized, 0.0)))
+        out.append((b, ErgodicMeasure(comp.points, np.where(layout.block_of == b, normalized, 0.0))))
     return tuple(out)
 
 
@@ -616,13 +615,14 @@ def decompose_invariant_measure(
         raise ValueError("measure must be a weight vector over the points")
     if np.any(eta < 0):
         raise ValueError("measure weights must be nonnegative")
-    measures = ergodic_measures(form)
+    ergodic, layout = _ergodic_measures(form), form._layout
     defect = _worst(np.concatenate([_stationarity_defects(eig, eta[p])
-                                    for (_, p), eig in zip(form._layout.stacks, form._block_eigs)]))
+                                    for (_, p), eig in zip(layout.stacks, form._block_eigs)]))
     if defect > tol * float(eta.max(initial=0.0)):
         raise NotInvariantError(defect)
 
-    weights = np.array([float(eta[form.space.indices_of(m.component)].sum()) for m in measures])
+    measures = tuple(m for _, m in ergodic)
+    weights = np.array([float(eta[layout.blocks[b]].sum()) for b, _ in ergodic])
     mixture = InvariantMeasureMixture(measures, weights, 0.0)
     rec = mixture.reconstructed() if measures else np.zeros(form.n)
     object.__setattr__(mixture, "reconstruction_defect", float(np.abs(rec - eta).max()))

@@ -366,12 +366,13 @@ class DirichletForm:
 
     @cached_property
     def _invariant_sets(self) -> tuple:
-        return _jump_components(self)
+        points = self.space.points
+        return tuple(tuple(points[i] for i in idx.tolist()) for idx in self._layout.blocks)
 
     @cached_property
     def _layout(self) -> StackedLayout:
-        """The blocks of :func:`invariant_sets`, stacked by size."""
-        return StackedLayout([self.space.indices_of(b) for b in self._invariant_sets])
+        """The positions of the blocks of :func:`invariant_sets`, stacked by size."""
+        return StackedLayout(_jump_components(self))
 
     @cached_property
     def _dropped(self) -> np.ndarray:
@@ -535,10 +536,11 @@ def is_invariant(form: DirichletForm, subset: Iterable):
 
     ts = tuple(semigroup(form, t) for t in times)
     gs = tuple(resolvent(form, a) for a in alphas)
-    ind = np.diag(mask.astype(float))
+    # [T_t, 1_S] is T_t across the boundary of S, up to sign, and 0 elsewhere: its max is the leakage.
+    leakage = max(off_block(t) for t in ts)
     defects = {
-        "semigroup_commutation": max(float(np.abs(t @ ind - ind @ t).max()) for t in ts),
-        "semigroup_leakage": max(off_block(t) for t in ts),
+        "semigroup_commutation": leakage,
+        "semigroup_leakage": leakage,
         "resolvent_leakage": max(off_block(g) for g in gs),
         "energy_splitting": off_block(q),
     }
@@ -581,8 +583,8 @@ def invariant_sets(form: DirichletForm) -> tuple:
     return form._invariant_sets
 
 
-def _jump_components(form: DirichletForm) -> tuple:
-    """:func:`invariant_sets`, searched breadth first one level at a time."""
+def _jump_components(form: DirichletForm) -> list:
+    """The positions of the blocks of :func:`invariant_sets`, searched breadth first by levels."""
     q = form.matrix
     n = form.n
     jmax = _largest_jump(q)
@@ -601,9 +603,8 @@ def _jump_components(form: DirichletForm) -> tuple:
             levels.append(frontier)
             reached = adjacency[frontier].any(axis=0)
             reached &= unseen
-        comp = np.sort(np.concatenate(levels))
-        blocks.append(tuple(form.space.points[i] for i in comp.tolist()))
-    return tuple(blocks)
+        blocks.append(np.sort(np.concatenate(levels)))
+    return blocks
 
 
 def _irreducible(matrices: np.ndarray) -> np.ndarray:

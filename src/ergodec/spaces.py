@@ -14,6 +14,7 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ._linalg import StackedLayout
 from ._stream import Seed0Stream
 from ._tolerance import TAU
 from .errors import (
@@ -29,8 +30,8 @@ from .errors import (
 Label = Hashable
 
 
-def _readonly(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _readonly(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
     arr.flags.writeable = False
     return arr
 
@@ -51,11 +52,12 @@ def _check_labels(labels: tuple, field: str) -> None:
 
 def _check_weights(weights: np.ndarray) -> None:
     """Raise on the first weight that is not strictly positive and finite."""
-    for i, w in enumerate(weights):
-        if not w > 0:
-            raise NonPositiveWeightError(i)
-        if w == np.inf:
-            raise NonFiniteError(f"infinite weight at position {i}")
+    if weights.min() > 0 and weights.max() < np.inf:  # a NaN fails the first test
+        return
+    i = int(np.argmax(~(weights > 0) | (weights == np.inf)))
+    if not weights[i] > 0:
+        raise NonPositiveWeightError(i)
+    raise NonFiniteError(f"infinite weight at position {i}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,10 +222,9 @@ class MeasureFamily:
         return sum(self.dims)
 
     @cached_property
-    def _layout(self) -> tuple:
+    def _layout(self) -> StackedLayout:
         """Stacked positions of every fiber in index label order: contiguous, disjoint ranges."""
-        starts = np.cumsum((0,) + self.dims[:-1])
-        return tuple(_readonly(np.arange(s, s + d), dtype=int) for s, d in zip(starts, self.dims))
+        return StackedLayout(np.split(np.arange(self.dim), np.cumsum(self.dims[:-1])))
 
     @cached_property
     def stacked_weights(self) -> np.ndarray:
@@ -269,10 +270,14 @@ class QuotientMap:
                 known = False
             if not known:
                 raise NotAPartitionError(f"point {x!r} is assigned to {z!r}, which is not an index label")
-        for z, block in self.blocks.items():
-            if not block:
+        members = {z: [] for z in self.index.labels}
+        for i, x in enumerate(self.space.points):
+            members[assignment[x]].append(i)
+        for z, idx in members.items():
+            if not idx:
                 raise NotAPartitionError(f"index label {z!r} has no points")
-        for z, idx, nu in zip(self.index.labels, self._layout, self.index.nu):
+        object.__setattr__(self, "_layout", StackedLayout(members.values()))  # in index label order
+        for z, idx, nu in zip(self.index.labels, self._layout.blocks, self.index.nu):
             mass = float(self.space.mu[idx].sum())
             if abs(nu - mass) > TAU * mass:
                 raise NotPushforwardError(
@@ -282,23 +287,12 @@ class QuotientMap:
     @cached_property
     def blocks(self) -> dict:
         """Mapping fiber label -> tuple of its points, in point order."""
-        out = {z: [] for z in self.index.labels}
-        for x in self.space.points:
-            out[self.assignment[x]].append(x)
-        return {z: tuple(v) for z, v in out.items()}
-
-    @cached_property
-    def _layout(self) -> tuple:
-        """Point positions of every block, in index label order.
-
-        The blocks are disjoint, so writing each block of a block-diagonal
-        matrix into one zero buffer through this layout assembles it exactly.
-        """
-        return tuple(_readonly(self.space.indices_of(self.blocks[z]), dtype=int)
-                     for z in self.index.labels)
+        points = self.space.points
+        return {z: tuple(points[i] for i in idx.tolist())
+                for z, idx in zip(self.index.labels, self._layout.blocks)}
 
     def block_indices(self, label) -> np.ndarray:
-        return self._layout[self.index.position(label)]
+        return self._layout.blocks[self.index.position(label)]
 
     @cached_property
     def family(self) -> MeasureFamily:
@@ -306,7 +300,7 @@ class QuotientMap:
         mu on ``blocks[z]`` divided by its pushforward mass nu(z), a probability."""
         fibers = {
             z: Fiber(self.blocks[z], self.space.mu[idx] / mass)
-            for z, idx, mass in zip(self.index.labels, self._layout, self.index.nu)
+            for z, idx, mass in zip(self.index.labels, self._layout.blocks, self.index.nu)
         }
         return MeasureFamily(self.index, fibers)
 
@@ -314,21 +308,20 @@ class QuotientMap:
         return self.assignment[point]
 
 
-def _canonical_blocks(space: FiniteMeasureSpace, partition: Sequence[Iterable[Label]]):
-    """Sort each block by point position and blocks by smallest member position."""
+def _canonical_blocks(space: FiniteMeasureSpace, partition: Sequence[Iterable[Label]]) -> list:
+    """The point positions of each block, ascending, with blocks ordered by their smallest."""
     blocks = []
     for part in partition:
         labels = list(part)
         if not labels:
             raise NotAPartitionError("empty block in partition")
         try:
-            idx = sorted(space.index_of(x) for x in labels)
+            blocks.append(sorted(space.index_of(x) for x in labels))
         except KeyError as exc:
             raise NotAPartitionError(f"unknown point {exc.args[0]!r} in partition") from exc
-        blocks.append(tuple(space.points[i] for i in idx))
-    blocks.sort(key=lambda b: space.index_of(b[0]))
-    covered = [x for b in blocks for x in b]
-    if len(covered) != len(set(covered)) or set(covered) != set(space.points):
+    blocks.sort(key=lambda b: b[0])
+    covered = {i for b in blocks for i in b}
+    if sum(len(b) for b in blocks) != len(covered) or len(covered) != space.n:
         raise NotAPartitionError("blocks must cover the space exactly once")
     return blocks
 
@@ -344,8 +337,8 @@ def quotient_by_invariant_partition(
     """
     blocks = _canonical_blocks(space, partition)
     labels = tuple(f"z{i}" for i in range(len(blocks)))
-    nu = [float(space.mu[space.indices_of(b)].sum()) for b in blocks]
-    assignment = {x: z for z, b in zip(labels, blocks) for x in b}
+    nu = [float(space.mu[b].sum()) for b in blocks]
+    assignment = {space.points[i]: z for z, b in zip(labels, blocks) for i in b}
     return QuotientMap(space, assignment, IndexSpace(labels, nu))
 
 

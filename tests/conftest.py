@@ -219,7 +219,7 @@ def validated_jump_kernel_form(space, jump, killing=None):
 
 def reference_decompose_residuals(dec):
     """The residuals of ``decompose``, each n x n difference a new array."""
-    form, layout = dec.form, dec.quotient._layout
+    form, layout = dec.form, dec.quotient._layout.blocks
     generator = -form.matrix / form.space.mu[:, None]
     generator_defects = [
         float(np.abs(-fiber.matrix / fiber.space.mu[:, None] - generator[np.ix_(idx, idx)]).max())
@@ -237,7 +237,7 @@ def reference_verify_residuals(dec, times, alphas):
     """(form, semigroup, resolvent) defects of ``verify_decomposition``, out of place."""
     from ergodec.forms import resolvent, semigroup
 
-    form, layout, n = dec.form, dec.quotient._layout, dec.form.n
+    form, layout, n = dec.form, dec.quotient._layout.blocks, dec.form.n
     weighted = [w * f.matrix for w, f in zip(dec.quotient.index.nu, dec.fibers)]
     reassembled = dec.normalization_scale * naive_block_sum(n, layout, weighted)
     scale = 1.0 + float(np.abs(form.matrix).max())

@@ -421,6 +421,43 @@ def test_superpose_requires_separated():
         superpose(space, family, [np.zeros((1, 1)), np.zeros((1, 1))])
 
 
+def test_separation_is_decided_once(monkeypatch, fx_twin):
+    # superpose and assemble_lp read the embedding's verdict; the witness is
+    # searched again only for a family that is not separated.
+    import ergodec.direct_integral
+    from conftest import spy
+
+    _, family = twin_family(fx_twin)
+    fibers = [fx_twin.matrix[:2, :2] / 0.5, fx_twin.matrix[2:, 2:] / 0.5]
+    for call in (lambda: superpose(fx_twin.space, family, fibers),
+                 lambda: assemble_lp(fx_twin.space, family, 3)):
+        calls = spy(monkeypatch, ergodec.direct_integral, "is_separated", id)
+        call()
+        assert len(calls) == 1
+        monkeypatch.undo()
+
+    space = validate_space([("*", 2.0)])
+    index = IndexSpace((0, 1), [1.0, 1.0])
+    overlapping = MeasureFamily(index, {0: Fiber(("*",), [1.0]), 1: Fiber(("*",), [1.0])})
+    for call in (lambda: superpose(space, overlapping, [np.zeros((1, 1))] * 2),
+                 lambda: assemble_lp(space, overlapping, 2)):
+        with pytest.raises(NotSeparatedError) as info:
+            call()
+        assert str(info.value) == "family is not separated (point '*' in two supports)"
+
+
+def test_superpose_over_supports_that_skip_a_point():
+    # One fiber on b and c: the layout of the supports leaves the first
+    # point out, and still assembles.  The supports carry no mass at a, so
+    # the defect of the isomorphism is the largest f(a)^2 drawn.
+    space = validate_space([("a", 1.0), ("b", 2.0), ("c", 3.0)])
+    family = MeasureFamily(IndexSpace(("z",), [5.0]), {"z": Fiber(("b", "c"), [0.4, 0.6])})
+    result = superpose(space, family, [np.array([[1.0, -1.0], [-1.0, 1.0]])])
+    assert result.energy_matrix.tolist() == [[0.0, 0.0, 0.0], [0.0, 5.0, -5.0], [0.0, -5.0, 5.0]]
+    assert result.isomorphism_defect == pytest.approx(0.934982108830539, rel=1e-12)
+    assert [idx.tolist() for idx in result.embedding._layout.blocks] == [[1, 2]]
+
+
 # ------------------------------------------------------------ block layout
 
 
@@ -450,6 +487,20 @@ def test_decompose_operator_follows_quotient_label_order(assignment):
         assert op.family.fiber_spaces()[i].points == qmap.blocks[z]
         idx = qmap.block_indices(z)
         assert np.array_equal(op.blocks[i], matrix[np.ix_(idx, idx)])
+
+
+def test_every_partition_is_a_stacked_layout(fx_grid):
+    from ergodec._linalg import StackedLayout
+
+    rows = [[(0, 0), (1, 0), (2, 0)], [(0, 1), (1, 1), (2, 1)]]
+    qmap, family = disintegrate_over_partition(fx_grid.space, rows)
+    embed = assemble_l2(fx_grid.space, family)
+    for layout in (qmap._layout, family._layout, embed._layout):
+        assert isinstance(layout, StackedLayout)
+        assert layout.count == 2
+    assert [idx.tolist() for idx in family._layout.blocks] == [[0, 1, 2], [3, 4, 5]]
+    for idx, support in zip(embed._layout.blocks, qmap._layout.blocks):
+        assert np.array_equal(idx, support)
 
 
 def multi_fiber_decompositions():

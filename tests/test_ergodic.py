@@ -414,7 +414,7 @@ def multi_block_forms():
 @pytest.mark.parametrize("form", multi_block_forms())
 def test_trusted_fibers_equal_validated_fibers(form):
     dec = decompose(form)
-    for idx, fiber in zip(dec.quotient._layout, dec.fibers):
+    for idx, fiber in zip(dec.quotient._layout.blocks, dec.fibers):
         raw_mass = float(form.space.mu[idx].sum())
         block = form.matrix[np.ix_(idx, idx)] / raw_mass
         expected = DirichletForm.from_matrix(fiber.space, block)
@@ -422,6 +422,14 @@ def test_trusted_fibers_equal_validated_fibers(form):
         assert np.array_equal(fiber.jump, expected.jump)
         assert np.array_equal(fiber.killing, expected.killing)
         assert not fiber.matrix.flags.writeable
+
+
+@pytest.mark.parametrize("form", [random_form(2, 20, 1), *multi_block_forms()])
+def test_the_quotient_and_the_form_share_their_blocks(form):
+    dec = decompose(form)
+    quotient, blocks = dec.quotient._layout, dec.form._layout.blocks
+    assert quotient.count == len(blocks) == len(dec.fibers)
+    assert all(np.array_equal(q, b) for q, b in zip(quotient.blocks, blocks))
 
 
 @pytest.mark.parametrize("form", multi_block_forms())
@@ -458,7 +466,6 @@ def test_fibers_that_underflow_are_refused(mu, jump, killing, message):
 
 @pytest.mark.parametrize("form", multi_block_forms())
 def test_block_assembly_matches_naive_sum(form):
-    from ergodec._linalg import _assemble_blocks
     from ergodec.forms import resolvent, semigroup
 
     from conftest import naive_block_sum
@@ -466,18 +473,18 @@ def test_block_assembly_matches_naive_sum(form):
     dec = decompose(form)
     n, layout = form.n, dec.quotient._layout
     weighted = [w * f.matrix for w, f in zip(dec.quotient.index.nu, dec.fibers)]
-    expected = dec.normalization_scale * naive_block_sum(n, layout, weighted)
+    expected = dec.normalization_scale * naive_block_sum(n, layout.blocks, weighted)
     assert np.array_equal(dec.reassembled_matrix(), expected)
 
     report = verify_decomposition(dec, times=(0.5, 2.0), alphas=(1.0, 3.0))
     buffer = np.zeros((n, n))
     for t in (0.5, 2.0):
-        naive = naive_block_sum(n, layout, [semigroup(f, t) for f in dec.fibers])
-        assert np.array_equal(_assemble_blocks(buffer, layout, [semigroup(f, t) for f in dec.fibers]), naive)
+        naive = naive_block_sum(n, layout.blocks, [semigroup(f, t) for f in dec.fibers])
+        assert np.array_equal(layout.assemble(buffer, [semigroup(f, t) for f in dec.fibers]), naive)
         assert report.semigroup_defects[t] == float(np.linalg.norm(semigroup(form, t) - naive, "fro"))
     for a in (1.0, 3.0):
-        naive = naive_block_sum(n, layout, [resolvent(f, a) for f in dec.fibers])
-        assert np.array_equal(_assemble_blocks(buffer, layout, [resolvent(f, a) for f in dec.fibers]), naive)
+        naive = naive_block_sum(n, layout.blocks, [resolvent(f, a) for f in dec.fibers])
+        assert np.array_equal(layout.assemble(buffer, [resolvent(f, a) for f in dec.fibers]), naive)
         assert report.resolvent_defects[a] == float(np.linalg.norm(resolvent(form, a) - naive, "fro"))
 
 
@@ -586,7 +593,7 @@ def test_weighted_reassembly_matches_naive_sum():
     wdec = decompose_weighted(form, phi)
     quotient = wdec.base.quotient
     weighted = [w * f.matrix for w, f in zip(quotient.index.nu, wdec.lifted_forms)]
-    naive = naive_block_sum(form.n, quotient._layout, weighted)
+    naive = naive_block_sum(form.n, quotient._layout.blocks, weighted)
     assert wdec.residuals["form_reassembly"] == float(np.abs(naive - form.matrix).max())
 
 
@@ -609,7 +616,7 @@ def test_decompose_and_verify_eigendecomposition_count(monkeypatch, killing_prob
     dec = decompose(form)
     assert verify_decomposition(dec).passed
     # The global form, and the fibers as one stack per size.
-    sizes = {len(idx) for idx in dec.quotient._layout}
+    sizes = {len(idx) for idx in dec.quotient._layout.blocks}
     assert len(sizes) < len(dec.fibers)
     assert calls == {"eigh": 1 + len(sizes), "eigvalsh": 0}
 
@@ -647,7 +654,7 @@ def test_blockwise_time_one_equals_dense(form):
     x = np.random.default_rng(form.n).uniform(-1.0, 1.0, size=form.n)
     for transpose, expected in ((False, dense @ x), (True, dense.T @ x)):
         blockwise = np.empty(form.n)
-        for idx, fiber in zip(dec.quotient._layout, dec.fibers):
+        for idx, fiber in zip(dec.quotient._layout.blocks, dec.fibers):
             blockwise[idx] = semigroup_action(fiber._eig, 1.0, x[idx], transpose=transpose)
         whole = semigroup_action(form._eig, 1.0, x, transpose=transpose)
         assert np.abs(blockwise - expected).max() <= bound
@@ -785,7 +792,7 @@ def test_measures_run_no_global_eigendecomposition(monkeypatch):
     from conftest import spy_actions
 
     form = random_form(6, 40, 5)
-    blocks = sorted(len(idx) for idx in decompose(form).quotient._layout)
+    blocks = sorted(len(idx) for idx in decompose(form).quotient._layout.blocks)
     stacks = len(set(blocks))
     shapes = spy(monkeypatch, np.linalg, "eigh", np.shape)
     products = spy(monkeypatch, ergodec.forms, "semigroup_from_eig", lambda eig, t: len(eig[0]))
@@ -968,7 +975,14 @@ def test_stacked_layout_groups_blocks_by_size():
     assert layout.count == 4
     assert [m.tolist() for m, _ in layout.stacks] == [[0, 2], [1, 3]]
     assert [p.tolist() for _, p in layout.stacks] == [[[4, 0], [1, 3]], [[2], [5]]]
+    assert [idx.tolist() for idx in layout.blocks] == [[4, 0], [2], [1, 3], [5]]
+    assert not any(idx.flags.writeable for idx in layout.blocks)
     assert layout.block_of.tolist() == [0, 2, 1, 2, 0, 3]
+    blocks = [np.full((len(idx), len(idx)), b + 1.0) for b, idx in enumerate(layout.blocks)]
+    weights = np.array([1.0, 10.0, 100.0, 1000.0])
+    assembled = layout.assemble(np.zeros((6, 6)), blocks, weights)
+    assert assembled[4, 0] == 1.0 and assembled[2, 2] == 20.0 and assembled[3, 1] == 300.0
+    assert assembled[5, 5] == 4000.0 and np.count_nonzero(assembled) == 4 + 1 + 4 + 1
     assert layout.blockwise([np.array([10, 12]), np.array([11, 13])]).tolist() == [10, 11, 12, 13]
     rows = [np.array([[1.0, 2.0], [5.0, 6.0]]), np.array([[3.0], [7.0]])]
     assert layout.concatenate(rows).tolist() == [1.0, 2.0, 3.0, 5.0, 6.0, 7.0]

@@ -821,6 +821,19 @@ def test_is_invariant_checks_the_leakage_of_an_invariant_block(monkeypatch, fx_t
         is_invariant(fx_twin, ["a", "b"])
 
 
+@pytest.mark.parametrize("name, subset", [
+    ("fx_twin", ["a", "b"]), ("fx_twin", ["a", "c"]), ("fx_edge", ["a"]),
+    ("fx_twin_kill", []), ("fx_twin_kill", ["a", "b", "c", "d"]), ("fx_kill", ["a"]),
+])
+def test_semigroup_commutation_equals_the_matrix_commutator(request, name, subset):
+    # [T_t, 1_S] read from the mask has the bits of the product with diag(1_S).
+    form = request.getfixturevalue(name)
+    ind = np.diag([float(x in subset) for x in form.space.points])
+    commutator = max(float(np.abs(t @ ind - ind @ t).max())
+                     for t in (semigroup(form, 0.3), semigroup(form, 1.0)))
+    assert is_invariant(form, subset)[1].defects["semigroup_commutation"] == commutator
+
+
 def test_trivial_sets_invariant(fx_twin_kill):
     assert is_invariant(fx_twin_kill, [])[0]
     assert is_invariant(fx_twin_kill, list(fx_twin_kill.space.points))[0]

@@ -178,9 +178,9 @@ def test_quotient_labels_deterministic(fx_twin):
 
 
 WEIGHT_MAKERS = [
-    lambda w: IndexSpace(("z0", "z1"), w),
-    lambda w: Fiber(("a", "b"), w),
-    lambda w: validate_space(zip(("a", "b"), w)),
+    lambda w: IndexSpace(("z0", "z1", "z2")[:len(w)], w),
+    lambda w: Fiber(("a", "b", "c")[:len(w)], w),
+    lambda w: validate_space(zip(("a", "b", "c"), w)),
 ]
 
 
@@ -193,8 +193,15 @@ def test_weights_reject_inf_and_report_first_bad_position(make):
     with pytest.raises(NonPositiveWeightError) as info:
         make([0.0, np.inf])
     assert info.value.index == 0
-    with pytest.raises(NonPositiveWeightError):
+    with pytest.raises(NonPositiveWeightError) as info:
         make([1.0, np.nan])
+    assert info.value.index == 1
+    # The first failing weight decides, whichever way it fails.
+    with pytest.raises(NonFiniteError, match="infinite weight at position 1"):
+        make([1.0, np.inf, -1.0])
+    with pytest.raises(NonPositiveWeightError) as info:
+        make([1.0, -1.0, np.inf])
+    assert info.value.index == 1 and str(info.value) == "non-positive weight at position 1"
 
 
 @pytest.mark.parametrize("make", WEIGHT_MAKERS)
@@ -229,8 +236,8 @@ def test_normalized_names_the_point_whose_weight_underflows():
 
 def test_quotient_layout_matches_blocks(fx_grid):
     qmap = quotient_by_invariant_partition(fx_grid.space, [[(0, 1), (2, 1), (1, 1)], [(1, 0), (0, 0), (2, 0)]])
-    assert len(qmap._layout) == 2
-    for z, idx in zip(qmap.index.labels, qmap._layout):
+    assert len(qmap._layout.blocks) == 2
+    for z, idx in zip(qmap.index.labels, qmap._layout.blocks):
         assert tuple(fx_grid.space.points[i] for i in idx) == qmap.blocks[z]
         assert qmap.block_indices(z) is idx
         assert not idx.flags.writeable
