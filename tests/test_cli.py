@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import math
@@ -241,6 +242,63 @@ def test_module_entry_point(tmp_path, fx_twin):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["flags"]["recurrent"] is True
+
+
+def test_importing_the_process_entry_runs_nothing():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import ergodec.__main__ as entry; print(callable(entry.run))", "decompose"],
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_callers_collector_alone(tmp_path, fx_twin, capsys, enabled):
+    path = write_form(tmp_path, fx_twin)
+    was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["decompose", "--input", path]) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    capsys.readouterr()
+
+
+RUN_PROBE = (
+    "import gc, json, sys\n"
+    "from ergodec.__main__ import run\n"
+    "state = sys.argv.pop(1)\n"
+    "code = run()\n"
+    "with open(state, 'w') as f:\n"
+    "    json.dump([code, gc.isenabled(), gc.get_freeze_count()], f)\n"
+    "sys.exit(code)\n"
+)
+
+
+@pytest.mark.parametrize("command, document, code", [
+    ("decompose", "markov", 0),
+    ("verify", "non-markov", 2),
+    ("decompose --tolerance 0", "markov", 3),
+])
+def test_process_entry_runs_main_and_freezes_the_heap(tmp_path, capsys, command, document, code):
+    path = tmp_path / "form.json"
+    if document == "markov":
+        assert main(["gen", "--seed", "1", "--n", "20", "--components", "3", "--out", str(path)]) == 0
+    else:
+        path.write_text(json.dumps({
+            "space": {"points": ["a", "b"], "mu": [1, 1]}, "matrix": [[1, 1], [1, 1]],
+        }))
+    argv = [*command.split(), "--input", str(path)]
+    assert main(argv) == code
+    expected = capsys.readouterr()
+    state = tmp_path / "state.json"
+    proc = subprocess.run([sys.executable, "-c", RUN_PROBE, str(state), *argv], capture_output=True)
+    assert proc.returncode == code
+    assert (proc.stdout, proc.stderr) == (expected.out.encode(), expected.err.encode())
+    returned, enabled, frozen = json.loads(state.read_text())
+    assert (returned, enabled) == (code, True)
+    assert frozen > 0
 
 
 def test_generate_decompose_verify_round_trip(tmp_path):
