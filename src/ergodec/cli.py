@@ -331,6 +331,3 @@ def main(argv=None) -> int:
         source = f"of --n {args.n}" if args.command == "gen" else f"in {args.input}"
         return _fail(f"the form {source} does not fit in memory")
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -252,6 +252,18 @@ def test_importing_the_process_entry_runs_nothing():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
 
 
+def test_cli_module_is_not_a_process_entry(tmp_path):
+    # ergodec.__main__.run is the one process entry; running ergodec.cli as a script
+    # only imports it.
+    proc = subprocess.run(
+        [sys.executable, "-m", "ergodec.cli", "gen", "--seed", "1", "--n", "4",
+         "--out", str(tmp_path / "g.json")],
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert not (tmp_path / "g.json").exists()
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_main_leaves_the_callers_collector_alone(tmp_path, fx_twin, capsys, enabled):
     path = write_form(tmp_path, fx_twin)
