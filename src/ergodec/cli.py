@@ -215,8 +215,8 @@ def _cmd_classify(args) -> int:
             for z, c in cls.per_component.items()
         },
         "jump": _edge_list(form.space.points, form.matrix),
-        "killing": [float(k) for k in form.killing],
-        "spectrum": [float(w) for w in form.spectrum],
+        "killing": form.killing.tolist(),
+        "spectrum": form.spectrum.tolist(),
     }
     _emit(report, args)
     return 0
@@ -280,14 +280,14 @@ def _cmd_measures(args) -> int:
         mixture, measures = None, ergodic_measures(form)
     report = {
         "ergodic": [
-            {"component": list(m.component), "weights": [float(w) for w in m.weights]}
+            {"component": list(m.component), "weights": m.weights.tolist()}
             for m in measures
         ],
         "mu_mixture": None,
     }
     if mixture is not None:
         report["mu_mixture"] = {
-            "weights": [float(w) for w in mixture.weights],
+            "weights": mixture.weights.tolist(),
             "reconstruction_defect": mixture.reconstruction_defect,
         }
     _emit(report, args)

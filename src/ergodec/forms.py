@@ -49,6 +49,8 @@ from .spaces import FiniteMeasureSpace, _readonly
 #: Relative threshold below which a jump weight does not join two components.
 COMPONENT_THRESHOLD = TAU
 
+_HALF_MAX = np.finfo(float).max / 2
+
 
 def _matrix_scale(matrix) -> float:
     """1 + max |A|, without an n x n ``np.abs`` temporary.
@@ -311,20 +313,39 @@ class DirichletForm:
         with np.errstate(over="ignore", invalid="ignore"):
             jump = jump + jump.T
         jump *= 0.5
+        return cls._from_symmetric_kernel(space, jump, killing)
+
+    @classmethod
+    def _from_symmetric_kernel(cls, space: FiniteMeasureSpace, jump, killing=None) -> "DirichletForm":
+        """The form of a bitwise symmetric kernel, written in place over ``jump``.
+
+        The form takes ``jump`` over as its matrix, so a certified kernel
+        costs no second n x n array.  The certificate is that of
+        :meth:`from_jump_kernel`, with every kernel entry at most float
+        max / 2: a larger one overflows when :meth:`from_jump_kernel`
+        symmetrizes it.  Uncertified input is symmetrized as there and goes
+        through the constructor, so it meets the same errors.  The diagonal
+        is written after ``0 - jump``, so the matrix equals
+        ``np.diag(diag) - jump`` bitwise, zeros included.
+        """
         np.fill_diagonal(jump, 0.0)  # a kernel carries no diagonal
         killing = np.zeros(space.n) if killing is None else np.asarray(killing, dtype=float)
-        diag = jump.sum(axis=1) + killing
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite diag is not certified
+            diag = jump.sum(axis=1) + killing
         certified = (
             jump.shape == (space.n, space.n)
             and killing.shape == (space.n,)
-            and (jump >= 0).all()
+            and 0.0 <= jump.min() and jump.max() <= _HALF_MAX  # NaN fails both
             and (killing >= 0).all()
             and np.isfinite(diag).all()
         )
         if not certified:
+            with np.errstate(over="ignore", invalid="ignore"):
+                jump = 0.5 * (jump + jump.T)  # bitwise the input, but inf past float max / 2
+                diag = jump.sum(axis=1) + killing
             return cls(space, np.diag(diag) - jump)
-        matrix = np.diag(diag)
-        matrix -= jump
+        matrix = np.subtract(0.0, jump, out=jump)  # 0 - 0 is +0.0, as np.diag(diag) - jump gives
+        np.fill_diagonal(matrix, diag)
         _check_range(matrix, space)
         return cls._unchecked(space, matrix)
 

@@ -30,7 +30,10 @@ def random_form(
     The extra edges of a block are drawn as arrays, in the order and from the
     stream positions of a pair-by-pair loop, so every seed gives the same
     form as earlier versions that ran that loop, and a ``Generator`` passed
-    as ``seed`` is left at the same stream position.
+    as ``seed`` is left at the same stream position.  The edges are kept as
+    index and weight arrays until the permutation is drawn, then written
+    once at their permuted positions into the one n x n array that becomes
+    the form's matrix: no permuted copy is made.
 
     Parameters
     ----------
@@ -56,19 +59,26 @@ def random_form(
         raise InvalidShapeError(f"need 1 <= components <= n, got components={components}, n={n}")
     if n * n * 8 > np.iinfo(np.intp).max:
         raise InvalidShapeError(f"n={n} points need an n x n matrix larger than any numpy array")
+    jump = np.zeros((n, n))  # becomes the form's matrix; allocated before any draw
 
     sizes = np.ones(components, dtype=int)
     sizes += rng.multinomial(n - components, np.full(components, 1.0 / components))
 
-    jump = np.zeros((n, n))
+    rows, cols, weights = [], [], []  # the edges, in point order before the permutation
     offset = 0
     for size in sizes:
-        block = jump[offset:offset + size, offset:offset + size]
+        parents = np.empty(size - 1, dtype=np.intp)
+        tree_weights = np.empty(size - 1)
         for i in range(1, size):
-            j = int(rng.integers(0, i))
-            w = rng.uniform(0.1, 2.0)
-            block[i, j] = block[j, i] = w
-        _add_extra_edges(rng, block, density)
+            parents[i - 1] = rng.integers(0, i)
+            tree_weights[i - 1] = rng.uniform(0.1, 2.0)
+        rows.append(offset + np.arange(1, size))
+        cols.append(offset + parents)
+        weights.append(tree_weights)
+        for extra_rows, extra_cols, extra_weights in _extra_edges(rng, size, parents, density):
+            rows.append(offset + extra_rows)
+            cols.append(offset + extra_cols)
+            weights.append(extra_weights)
         offset += size
 
     killing = np.where(rng.uniform(size=n) < killing_prob, rng.uniform(0.1, 2.0, size=n), 0.0)
@@ -77,43 +87,58 @@ def random_form(
         mu = mu / mu.sum()
 
     perm = rng.permutation(n)
-    jump = jump[np.ix_(perm, perm)]
+    position = np.empty(n, dtype=np.intp)
+    position[perm] = np.arange(n)  # point perm[p] lands at p
+    weights = np.concatenate(weights)
+    rows = position[np.concatenate(rows)]
+    cols = position[np.concatenate(cols)]
+    jump[rows, cols] = weights
+    jump[cols, rows] = weights
     killing = killing[perm]
 
     space = FiniteMeasureSpace(tuple(f"p{i}" for i in range(n)), mu)
-    return DirichletForm.from_jump_kernel(space, jump, killing)
+    return DirichletForm._from_symmetric_kernel(space, jump, killing)
 
 
-def _add_extra_edges(rng, block, density: float) -> None:
-    """Join each pair of ``block`` without an edge with probability ``density``, in place.
+#: Candidate pairs whose draws are replayed at once; it bounds the raw draws held to 2**15.
+_CHUNK = 1 << 14
 
-    Consumes exactly the stream of the scalar loop that visits those pairs in
-    row-major order, drawing a coin ``rng.uniform()`` for each and a weight
-    ``rng.uniform(0.1, 2.0)`` after each coin below ``density``.  A draw is a
-    weight exactly when the draw before it is a coin that hit, so inside a
-    run of draws below ``density`` the first is a coin and the roles
-    alternate.  The raw draws fix the roles; the state is then restored and
-    the consumed draws are taken again through ``uniform`` so that the
-    weights are numpy's own values and the stream ends where the loop ends.
+
+def _extra_edges(rng, size: int, parents, density: float):
+    """Rows, columns and weights of the extra edges of a block, a chunk of pairs at a time.
+
+    The candidates are the pairs i < j of the block off its tree (the edges
+    ``(parents[i - 1], i)``), in row-major order.  Consumes exactly the
+    stream of the scalar loop that visits them in that order, drawing a coin
+    ``rng.uniform()`` for each and a weight ``rng.uniform(0.1, 2.0)`` after
+    each coin below ``density``.  A draw is a weight exactly when the draw
+    before it is a coin that hit, so inside a run of draws below ``density``
+    the first is a coin and the roles alternate; the roles are read from the
+    hits alone.  Each chunk of candidates starts with a coin.  Its raw draws
+    fix the roles; the state is then restored and the consumed draws are
+    taken again through ``uniform``, so that the weights are numpy's own
+    values and the stream ends where the loop ends.
     """
-    rows, cols = np.triu_indices(len(block), 1)
-    free = block[rows, cols] == 0.0
-    rows, cols = rows[free], cols[free]
-    count = len(rows)
-    if count == 0:
-        return
-    state = rng.bit_generator.state
-    hit = rng.random(2 * count) < density  # each pair takes at most two draws
-    position = np.arange(2 * count)
-    run_start = np.maximum.accumulate(np.where(hit, 0, position + 1))
-    coin_hit = hit & ((position - run_start) % 2 == 0)
-    coin = np.ones(2 * count, dtype=bool)
-    coin[1:] = ~coin_hit[:-1]
-    coins = np.flatnonzero(coin)[:count]
-    accepted = coin_hit[coins]
-    consumed = int(coins[-1]) + 1 + int(accepted[-1])
-    rng.bit_generator.state = state
-    weights = rng.uniform(0.1, 2.0, size=consumed)[coins[accepted] + 1]
-    rows, cols = rows[accepted], cols[accepted]
-    block[rows, cols] = weights
-    block[cols, rows] = weights
+    count = (size - 1) * (size - 2) // 2
+    row_start = np.arange(size) * (2 * size - 1 - np.arange(size)) // 2  # pairs i < j before row i
+    # A candidate's place among all pairs is its index plus the tree edges before it, which
+    # a right search counts in the tree edges' sorted places less the tree edges before each.
+    skips = np.sort(row_start[parents] + np.arange(1, size) - parents - 1) - np.arange(size - 1)
+    for start in range(0, count, _CHUNK):
+        candidates = min(_CHUNK, count - start)
+        state = rng.bit_generator.state
+        # A candidate takes at most two draws.
+        hits = np.flatnonzero(rng.random(2 * candidates) < density)
+        run_start = np.ones(len(hits), dtype=bool)
+        run_start[1:] = hits[1:] != hits[:-1] + 1
+        first = np.maximum.accumulate(np.where(run_start, hits, 0))
+        coins = hits[(hits - first) % 2 == 0]
+        # A coin's candidate: the draws before it, less the weight of each coin hit before it.
+        candidate = coins - np.arange(len(coins))
+        accepted = np.searchsorted(candidate, candidates)
+        rng.bit_generator.state = state
+        draws = rng.uniform(0.1, 2.0, size=candidates + accepted)
+        pair = start + candidate[:accepted]
+        pair += np.searchsorted(skips, pair, side="right")
+        rows = np.searchsorted(row_start, pair, side="right") - 1
+        yield rows, pair - row_start[rows] + rows + 1, draws[coins[:accepted] + 1]

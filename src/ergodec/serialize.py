@@ -40,7 +40,7 @@ if TYPE_CHECKING:  # annotations only: the form and classify paths never load th
 
 
 def space_to_json(space: FiniteMeasureSpace) -> dict:
-    return {"points": list(space.points), "mu": [float(w) for w in space.mu]}
+    return {"points": list(space.points), "mu": space.mu.tolist()}
 
 
 def _field(obj, key: str, owner: str):
@@ -92,7 +92,7 @@ def family_to_json(family: MeasureFamily) -> dict:
         "fibers": {
             str(z): {
                 "support": list(family.fibers[z].support),
-                "weights": [float(w) for w in family.fibers[z].weights],
+                "weights": family.fibers[z].weights.tolist(),
             }
             for z in labels
         },
@@ -125,7 +125,7 @@ def form_to_json(form: DirichletForm) -> dict:
     return {
         "space": space_to_json(form.space),
         "edges": _edge_list(form.space.points, form.matrix),
-        "killing": [float(k) for k in form.killing],
+        "killing": form.killing.tolist(),
     }
 
 
@@ -139,14 +139,14 @@ def form_from_json(obj: dict) -> DirichletForm:
     killing = obj.get("killing")
     if killing is not None:
         killing = _float_array(killing, "killing", (n,))
-    return DirichletForm.from_jump_kernel(space, jump, killing)
+    return DirichletForm._from_symmetric_kernel(space, jump, killing)  # jump becomes the matrix
 
 
 _EDGE = np.dtype([("x", np.intp), ("y", np.intp), ("w", float)])
 
 
 def _jump_from_edges(space: FiniteMeasureSpace, edges) -> np.ndarray:
-    """Symmetric jump matrix of ``[x, y, w]`` edges; a repeated pair keeps its last weight."""
+    """Bitwise symmetric jump matrix of ``[x, y, w]`` edges; a repeated pair keeps its last weight."""
     n = space.n
     jump = np.zeros((n, n))
     index = space.index_of
@@ -230,9 +230,9 @@ def decomposition_report(
         fiber = dec.fibers[i]
         entry = {
             "support": list(fiber.space.points),
-            "mu": [float(w) for w in fiber.space.mu],
+            "mu": fiber.space.mu.tolist(),
             "edges": _edge_list(fiber.space.points, fiber.matrix),
-            "killing": [float(k) for k in fiber.killing],
+            "killing": fiber.killing.tolist(),
         }
         if fiber_classes is not None:
             entry["class"] = classification_to_json(fiber_classes[i])

@@ -782,6 +782,54 @@ def test_non_finite_input_prints_one_error_line(tmp_path, name):
     )
 
 
+_PAIR = {"points": ["a", "b"], "mu": [1.0, 1.0]}
+_QUAD = {"points": ["a", "b", "c", "d"], "mu": [1.0] * 4}
+
+# Edge documents at the edge of the certificate that builds a form in place:
+# (document, exit code, stderr) of ``classify``, or for exit 0 the document
+# whose report it must equal.
+EDGE_DOCUMENTS = {
+    "weight-doubling-overflows": ({"space": _PAIR, "edges": [["a", "b", 1e308]]},
+                                  2, "error: matrix entry (0, 0) is not finite\n"),
+    "generator-out-of-range": (
+        {"space": _SPACE, "edges": [["a", "b", 8e307], ["a", "c", 8e307]]}, 2,
+        "error: the generator does not fit in floats: at point 'a', A(x, x) = 1.600e+308 and "
+        "A(x, x) / mu(x) = 1.600e+308, above 1.498e+307\n",
+    ),
+    "row-sum-overflows": ({"space": _QUAD, "edges": [["a", "b", 8e307], ["a", "c", 8e307],
+                                                    ["a", "d", 8e307]]},
+                          2, "error: matrix entry (0, 0) is not finite\n"),
+    "nan-weight": ({"space": _PAIR, "edges": [["a", "b", float("nan")]]},
+                   2, "error: matrix entry (0, 0) is not finite\n"),
+    "negative-weight": ({"space": _PAIR, "edges": [["a", "b", -1.0]]},
+                        2, "error: matrix is not positive semidefinite (min eigenvalue -2.000e+00)\n"),
+    "self-loop": ({"space": _PAIR, "edges": [["a", "a", 5.0], ["a", "b", 1.0]]},
+                  0, {"space": _PAIR, "edges": [["a", "b", 1.0]]}),
+    "both-orientations": ({"space": _PAIR, "edges": [["a", "b", 1.0], ["b", "a", 2.0]]},
+                          0, {"space": _PAIR, "edges": [["a", "b", 2.0]]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_DOCUMENTS))
+def test_edge_document_outcomes_are_pinned(tmp_path, name):
+    instance, code, expected = EDGE_DOCUMENTS[name]
+
+    def classify(doc):
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ergodec", "classify", "--input", str(path)],
+            capture_output=True, text=True,
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    outcome = classify(instance)
+    if code == 0:
+        assert outcome[0] == 0 and outcome == classify(expected)
+    else:
+        assert outcome == (code, "", expected)
+
+
 @pytest.mark.parametrize("case", ["input-directory", "input-not-utf8", "out-missing-directory",
                                   "stdout-not-unicode"])
 def test_unreadable_input_or_unwritable_out_exits_2(tmp_path, fx_twin, case):

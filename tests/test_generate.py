@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,39 @@ def test_passed_generator_ends_at_reference_stream_position(bit_generator, n, co
     )
     assert np.array_equal(rng.random(5), reference_rng.random(5))
     assert np.array_equal(rng.integers(0, 1000, size=5), reference_rng.integers(0, 1000, size=5))
+
+
+@pytest.mark.parametrize("n, components, killing_prob, density", [
+    (500, 1, 0.0, 0.05),
+    (500, 125, 0.1, 0.5),
+    (1000, 1, 0.0, 0.5),
+])
+def test_large_blocks_match_reference_loop_bitwise(n, components, killing_prob, density):
+    # A block of hundreds of points has tens of thousands of candidate pairs,
+    # whose draws are replayed over several chunks.
+    rng, reference_rng = np.random.default_rng(9), np.random.default_rng(9)
+    form = random_form(rng, n, components, killing_prob, density)
+    expected = reference_random_form(reference_rng, n, components, killing_prob, density)
+    assert form.space.points == expected.space.points
+    assert form.space.mu.tobytes() == expected.space.mu.tobytes()
+    assert form.matrix.tobytes() == expected.matrix.tobytes()
+    assert form.killing.tobytes() == expected.killing.tobytes()
+    assert np.array_equal(rng.random(5), reference_rng.random(5))
+
+
+@pytest.mark.parametrize("components", [1, 8])
+def test_random_form_holds_one_n_by_n_array(components):
+    # The edges are written once into the array that becomes the form's
+    # matrix; the draws of a block are held a chunk of pairs at a time.
+    n = 400
+    random_form(0, n, components, 0.1, 0.05)  # one-off allocations of a first call stay out
+    tracemalloc.start()
+    try:
+        random_form(1, n, components, 0.1, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * 8 * n * n
 
 
 def test_gen_output_bytes_are_pinned(tmp_path):

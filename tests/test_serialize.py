@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,3 +185,17 @@ def test_edge_list_parsing_matches_sequential_writes(seed, tuple_labels):
     expected = DirichletForm.from_jump_kernel(form.space, sequential_jump(form.space, obj["edges"]))
     assert np.array_equal(form.matrix, expected.matrix)
     assert np.array_equal(form.jump, expected.jump)
+
+
+def test_form_from_json_holds_one_n_by_n_array():
+    # The edge matrix becomes the form's matrix in place.
+    n = 400
+    obj = json.loads(json.dumps(form_to_json(random_form(1, n, 8, 0.1, 0.05))))
+    form_from_json(obj)  # one-off allocations of a first call stay out
+    tracemalloc.start()
+    try:
+        form_from_json(obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * 8 * n * n
