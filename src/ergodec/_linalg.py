@@ -24,8 +24,17 @@ import numpy as np
 
 from .errors import NotRepresentableError
 
-#: The most entries of a matrix that :func:`_dropped_couplings` copies at a time (1 MiB of floats).
+#: The most entries of a matrix that a row panel holds (1 MiB of floats).
 _ROW_CHUNK = 2 ** 17
+#: The most rows of a row panel.
+_PANEL_ROWS = 64
+
+
+def _row_panels(n: int) -> list:
+    """Slices of consecutive rows of an n x n matrix, at most ``_PANEL_ROWS`` rows and
+    ``_ROW_CHUNK`` entries (at least one row) each."""
+    step = max(1, min(_PANEL_ROWS, _ROW_CHUNK // n))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 def _block(idx: np.ndarray):
@@ -125,15 +134,13 @@ def _dropped_couplings(matrix: np.ndarray, layout: StackedLayout) -> np.ndarray:
     Each row is summed as a copy with its block's entries set to 0, so on the
     invariant blocks of a form the sum is exactly 0 unless
     :func:`~ergodec.forms.invariant_sets` dropped a coupling.  Rows are read
-    ``_ROW_CHUNK`` entries (at least one row) at a time; no row's sum changes.
+    in row panels (:func:`_row_panels`); no row's sum changes.
     """
-    n = len(matrix)
-    dropped = np.zeros(n)
+    dropped = np.zeros(len(matrix))
     if layout.count > 1:
-        step = max(1, _ROW_CHUNK // n)
-        for lo in range(0, n, step):
-            own = layout.block_of[lo:lo + step, None] == layout.block_of[None, :]
-            dropped[lo:lo + step] = np.where(own, 0.0, matrix[lo:lo + step]).sum(axis=1)
+        for rows in _row_panels(len(matrix)):
+            own = layout.block_of[rows, None] == layout.block_of[None, :]
+            dropped[rows] = np.where(own, 0.0, matrix[rows]).sum(axis=1)
     return dropped
 
 

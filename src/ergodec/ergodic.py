@@ -28,6 +28,7 @@ from ._linalg import (
 )
 from ._stream import Seed0Stream
 from ._tolerance import RESIDUAL_TOLERANCE, TAU
+from ._validation import _row_bounds
 from .errors import ConsistencyError, NotInvariantError, NotRepresentableError, PartitionMismatchError
 from .forms import (
     COMPONENT_THRESHOLD,
@@ -239,8 +240,9 @@ def decompose(form: DirichletForm) -> ErgodicDecomposition:
     spaces, fibers = family.fiber_spaces(), [None] * len(masses)
     for members, positions in form._layout.stacks:
         stack = _split_blocks(form.matrix, positions, form._dropped, masses[members])
-        for b, a, k in zip(members.tolist(), stack, _killing(stack)):
-            fibers[b] = DirichletForm._unchecked(spaces[b], a, k)
+        bounds = [None] * len(stack) if form._bounds is None else _row_bounds(stack)
+        for b, a, k, bound in zip(members.tolist(), stack, _killing(stack), bounds):
+            fibers[b] = DirichletForm._unchecked(spaces[b], a, k, bound)
     return ErgodicDecomposition(
         form=form,
         quotient=qmap,
@@ -543,7 +545,7 @@ def ergodic_measures(form: DirichletForm) -> tuple:
     finds recurrent, and T_1^T w is applied from the block eigendecomposition
     it read.  T_1 is self-adjoint in L2(mu), so the stationarity defect of w
     is w (1 - T_1 1), at most the mass defect of the component; a defect past
-    it by more than TAU (1 + gamma), with gamma = max A(x, x) / mu(x), raises
+    it by more than TAU (1 + gamma), with gamma = max b(x) / mu(x) (``forms._row_bounds``), raises
     :class:`ConsistencyError`.  T_1^T is applied to the blocks of one size
     together.  What :func:`decompose` refuses is refused.
     """
@@ -692,7 +694,7 @@ def classification_decomposition(dec: ErgodicDecomposition) -> DecompositionClas
     for (a, mu), eig, k in zip(dec._fiber_stacks, dec._fiber_eigs,
                                dec.form._layout.stack([f.killing for f in dec.fibers])):
         diagonal = np.diagonal(a, axis1=-2, axis2=-1)
-        rates = diagonal / mu
+        rates = (diagonal if dec.form._bounds is None else _row_bounds(a)) / mu
         mass_slack = TAU * (1.0 + rates.max(axis=-1)) * np.sqrt(mu.sum(axis=-1))
         verdicts.append(_block_verdicts(eig, mu, k, rates, k > TAU * diagonal, mass_slack,
                                         lambda a=a: a))

@@ -31,56 +31,33 @@ from ._linalg import (
     semigroup_from_eig,
     symmetrized_eig,
 )
-from ._tolerance import MARKOV_RTOL, PSD_RTOL, SYMMETRY_RTOL, TAU
+from ._tolerance import SYMMETRY_RTOL, TAU
+from ._validation import (
+    _asymmetry,
+    _check_finite,
+    _check_range,
+    _jump,
+    _killing,
+    _matrix_scale,
+    _symmetrized,
+    _validated,
+    is_markovian,
+)
 from .errors import (
     ConsistencyError,
     HasKillingError,
     NegativeTimeError,
-    NonFiniteError,
     NonPositiveAlphaError,
     NonPositiveBetaError,
     NonPositivePhiError,
-    NotMarkovianError,
-    NotPSDError,
     NotRepresentableError,
 )
-from .spaces import FiniteMeasureSpace, _readonly
+from .spaces import FiniteMeasureSpace
 
 #: Relative threshold below which a jump weight does not join two components.
 COMPONENT_THRESHOLD = TAU
 
 _HALF_MAX = np.finfo(float).max / 2
-
-
-def _matrix_scale(matrix) -> float:
-    """1 + max |A|, without an n x n ``np.abs`` temporary.
-
-    The outer ``abs`` clears the sign of a NaN, as ``np.abs`` does, so the
-    result is bitwise ``1 + np.abs(A).max()``.
-    """
-    return 1.0 + abs(max(float(matrix.max()), -float(matrix.min())))
-
-
-def _check_range(matrix, space: FiniteMeasureSpace) -> None:
-    """Refuse a Markovian matrix whose generator does not fit in floats, in O(n).
-
-    A Markovian matrix is diagonally dominant, so max_x A(x, x) / mu(x) bounds
-    every entry of L and of D^{-1/2} A D^{-1/2}, and twice it every
-    eigenvalue.  The fibers A_B / m_B of :func:`~ergodec.ergodic.decompose`
-    have m_B >= mu(x) on their block, so they stay within the same bound.
-    The bound and max_x A(x, x) must stay below float max / (4 n), so that
-    sums of n such entries fit too.
-    """
-    diag = np.diagonal(matrix)
-    with np.errstate(over="ignore"):
-        rates = diag / space.mu
-    limit = np.finfo(float).max / (4 * space.n)
-    if not (rates.max() <= limit and diag.max() <= limit):
-        x = int(np.argmax(np.maximum(rates, diag)))
-        raise NotRepresentableError(
-            f"the generator does not fit in floats: at point {space.points[x]!r}, "
-            f"A(x, x) = {diag[x]:.3e} and A(x, x) / mu(x) = {rates[x]:.3e}, above {limit:.3e}"
-        )
 
 
 def _killed(form: DirichletForm) -> np.ndarray:
@@ -89,8 +66,9 @@ def _killed(form: DirichletForm) -> np.ndarray:
 
 
 def _generator_scale(form: DirichletForm) -> float:
-    """gamma = max_x A(x, x) / mu(x), which bounds every entry of L and twice its spectrum."""
-    return float((np.diagonal(form.matrix) / form.space.mu).max())
+    """gamma = max_x b(x) / mu(x) (:func:`_row_bounds`), which bounds every entry of L and twice
+    its spectrum: max_x A(x, x) / mu(x) on a dominant matrix."""
+    return float(form._rates.max())
 
 
 def _largest_jump(q: np.ndarray) -> float:
@@ -98,129 +76,6 @@ def _largest_jump(q: np.ndarray) -> float:
     n = len(q)
     off_diagonal = q.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]  # a view, no copy
     return -float(off_diagonal.min(initial=0.0))
-
-
-def _jump(q: np.ndarray) -> np.ndarray:
-    """The jump kernel of a symmetric Markovian matrix: -q off the diagonal, floored at 0."""
-    jump = np.negative(q)
-    np.maximum(jump, 0.0, out=jump)
-    np.fill_diagonal(jump, 0.0)
-    return jump
-
-
-def _killing(q: np.ndarray) -> np.ndarray:
-    """The killing vector of a symmetric Markovian matrix, or of each of a stack: its row sums,
-    floored at 0."""
-    return np.maximum(q.sum(axis=-1), 0.0)
-
-
-def _contraction_energy_drop(matrix, f):
-    """Energy gained by the unit contraction: Q(f+ ^ 1) - Q(f)."""
-    g = np.clip(f, 0.0, 1.0)
-    return float(g @ matrix @ g - f @ matrix @ f)
-
-
-def is_markovian(matrix, space: FiniteMeasureSpace):
-    """Test the sub-Markov contraction property of a symmetric PSD matrix.
-
-    A symmetric PSD matrix Q is Markovian exactly when its off-diagonal
-    entries are nonpositive and its row sums are nonnegative, so the search
-    for a contraction witness only needs the violated entries, each with a
-    closed-form witness and energy gain Q(f+ ^ 1) - Q(f), where tol is
-    ``MARKOV_RTOL`` times 1 + max |Q|:
-
-    * a coupling q_xy > tol with q_yy > tol: f = e_x - (q_xy/q_yy) e_y,
-      contracted to e_x, gains q_xy^2 / q_yy;
-    * a row sum r_x < -tol: f = 1 + s e_x, contracted to 1, with
-      s = -r_x/q_xx gaining r_x^2 / q_xx, or s = 1 gaining -2 r_x - q_xx
-      when q_xx <= tol.
-
-    The witness of largest gain is returned.  Ties go to the first coupling
-    in row-major order, and a row sum wins only with a strictly larger gain
-    than the best coupling.  The verdict rests on the dense gain of that
-    witness on the input matrix: if it is not positive, the matrix is
-    accepted.  The cost is O(n^2), plus one ``eigvalsh`` for the PSD check
-    when the Gershgorin bound cannot certify it.  A matrix built from a jump
-    kernel and a killing vector is diagonally dominant, so it needs none.
-
-    Parameters
-    ----------
-    matrix : (n, n) array
-        Symmetric (symmetrized defensively) positive semidefinite matrix.
-    space : FiniteMeasureSpace
-        The underlying space; fixes n.
-
-    Returns
-    -------
-    (True, (jump, killing))
-        When the unit contraction f -> (f v 0) ^ 1 never increases energy.
-        ``jump`` is the symmetric nonnegative off-diagonal kernel, ``killing``
-        the nonnegative row-sum vector; together they rebuild the matrix.
-    (False, witness)
-        Otherwise; ``witness`` is a vector f with Q(f+ ^ 1) > Q(f).
-
-    Raises
-    ------
-    NonFiniteError
-        If the matrix has a NaN or infinite entry.
-    NotPSDError
-        If the symmetrized matrix has an eigenvalue below -1e-12 * norm, or
-        a diagonal entry A(x, x) = E(1_x) below 0, however small.
-    """
-    q = np.asarray(matrix, dtype=float)
-    if q.shape != (space.n, space.n):
-        raise ValueError("matrix shape does not match the space")
-    finite = np.isfinite(q)
-    if not finite.all():
-        x, y = np.argwhere(~finite)[0]
-        raise NonFiniteError(f"matrix entry ({x}, {y}) is not finite")
-    q = 0.5 * (q + q.T)
-    diag = np.diag(q)
-    # Gershgorin: every eigenvalue is at least min_x (2 q_xx - sum_y |q_xy|), and
-    # the spectral norm is at least max q_xx, so a floor above half the PSD
-    # threshold certifies the check below without an eigendecomposition.
-    floor = float((2.0 * diag - np.abs(q).sum(axis=1)).min())
-    if floor < -0.5 * PSD_RTOL * max(1.0, float(diag.max())):
-        evals = np.linalg.eigvalsh(q)
-        norm = float(np.abs(evals).max())
-        if evals[0] < -PSD_RTOL * max(1.0, norm):
-            raise NotPSDError(float(evals[0]))
-    if (diag < 0).any():  # inside the margin above, but no indicator has negative energy
-        x = int(np.argmax(diag < 0))
-        raise NotPSDError(diag[x], f"matrix is not positive semidefinite: A(x, x) = "
-                                   f"{diag[x]:.3e} < 0 at point {space.points[x]!r}")
-
-    tol = MARKOV_RTOL * _matrix_scale(q)
-
-    n = space.n
-    off_diagonal = ~np.eye(n, dtype=bool)
-    row_sums = q.sum(axis=1)
-    usable = diag > tol
-    safe_diag = np.where(usable, diag, 1.0)
-
-    # Positive coupling: contract e_x - t e_y back to e_x.
-    pairs = off_diagonal & (q > tol) & usable
-    rows = row_sums < -tol
-    with np.errstate(over="ignore"):  # a gain past float max ranks first, as inf
-        pair_gain = np.where(pairs, q * q / safe_diag, -np.inf)
-        # Negative row sum: push a constant above 1 at the offending point.
-        row_gain = np.where(usable, row_sums * row_sums / safe_diag, -2.0 * row_sums - diag)
-    row_gain = np.where(rows, row_gain, -np.inf)
-
-    best, best_gain = None, -np.inf
-    if pairs.any():
-        x, y = divmod(int(np.argmax(pair_gain)), n)
-        best, best_gain = np.zeros(n), pair_gain[x, y]
-        best[x] = 1.0
-        best[y] = -q[x, y] / q[y, y]
-    if rows.any():
-        x = int(np.argmax(row_gain))
-        if row_gain[x] > best_gain:
-            best = np.ones(n)
-            best[x] += -row_sums[x] / q[x, x] if q[x, x] > tol else 1.0
-    if best is not None and _contraction_energy_drop(q, best) > 0:
-        return False, best
-    return True, (_jump(q), _killing(q))
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,49 +90,57 @@ class DirichletForm:
     the constructor.
 
     A form stores one n x n array, its matrix, and the killing vector.  The
-    jump kernel is derived from the matrix on first access.
+    jump kernel is derived from the matrix on first access.  A matrix that
+    validation accepts within its margins may not be diagonally dominant;
+    its row bounds (:func:`_row_bounds`) are stored then, and set the scale
+    of the generator in place of the diagonal.
     """
 
     space: FiniteMeasureSpace
     matrix: np.ndarray
 
     def __post_init__(self):
-        a = _readonly(self.matrix)
-        if a.shape != (self.space.n, self.space.n):
+        raw = np.asarray(self.matrix, dtype=float)
+        if raw.shape != (self.space.n, self.space.n):
             raise ValueError("matrix shape does not match the space")
-        scale = _matrix_scale(a)
-        with np.errstate(over="ignore", invalid="ignore"):  # is_markovian rejects non-finite
-            asymmetric = np.abs(a - a.T).max() > SYMMETRY_RTOL * scale
-        if asymmetric:
+        scale = _matrix_scale(raw)  # not finite unless every entry is, and then no check fails
+        if math.isfinite(scale) and _asymmetry(raw) > SYMMETRY_RTOL * scale:
             raise ValueError("energy matrix must be symmetric")
-        ok, payload = is_markovian(a, self.space)
-        if not ok:
-            raise NotMarkovianError(witness=payload)
-        jump, killing = payload
-        rebuilt = np.diag(jump.sum(axis=1) + killing) - jump
-        if np.abs(rebuilt - a).max() > SYMMETRY_RTOL * scale:
-            raise NotMarkovianError(message="jump/killing data does not rebuild the matrix")
-        del jump, rebuilt
-        with np.errstate(over="ignore"):
-            a = 0.5 * (a + a.T)  # the matrix is_markovian reads the kernel from
-        _check_range(a, self.space)
-        a.flags.writeable = False
-        object.__setattr__(self, "matrix", a)
-        object.__setattr__(self, "_killing", _readonly(killing))
+        _check_finite(raw)
+        matrix = _symmetrized(raw)
+        killing, bounds = _validated(matrix, raw, self.space)
+        matrix.flags.writeable = False
+        killing.flags.writeable = False
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_killing", killing)
+        object.__setattr__(self, "_bounds", bounds)
 
     @classmethod
     def from_matrix(cls, space: FiniteMeasureSpace, matrix) -> "DirichletForm":
-        matrix = np.asarray(matrix, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            matrix = 0.5 * (matrix + matrix.T)
-        return cls(space, matrix)
+        """The validated form of 0.5 (A + A^T); that symmetrization is the one copy of ``matrix``."""
+        return cls._from_symmetrized(space, _symmetrized(np.asarray(matrix, dtype=float)))
 
     @classmethod
-    def _unchecked(cls, space: FiniteMeasureSpace, matrix, killing=None) -> "DirichletForm":
+    def _from_symmetrized(cls, space: FiniteMeasureSpace, matrix) -> "DirichletForm":
+        """The form of ``matrix`` = 0.5 (A + A^T), validated in place: it becomes the form's matrix.
+
+        The result is that of the constructor on ``matrix``.  Its checks of
+        symmetry and its symmetrizations are bitwise no-ops here: mirror
+        entries are one sum, and each entry is at most float max / 2 or not
+        finite, so only a matrix of that sum may be given.
+        """
+        if matrix.shape != (space.n, space.n):
+            raise ValueError("matrix shape does not match the space")
+        _check_finite(matrix)
+        return cls._unchecked(space, matrix, *_validated(matrix, matrix, space))
+
+    @classmethod
+    def _unchecked(cls, space: FiniteMeasureSpace, matrix, killing=None, bounds=None) -> "DirichletForm":
         """Wrap a bitwise symmetric matrix into a form without validation.
 
         The matrix becomes read-only, and the killing vector, unless given,
-        is read from it as :func:`is_markovian` reads it.
+        is read from it as :func:`is_markovian` reads it.  ``bounds`` are
+        its row bounds (:func:`_row_bounds`), None when they are the diagonal.
         """
         matrix.flags.writeable = False
         killing = _killing(matrix) if killing is None else killing
@@ -286,6 +149,7 @@ class DirichletForm:
         object.__setattr__(form, "space", space)
         object.__setattr__(form, "matrix", matrix)
         object.__setattr__(form, "_killing", killing)
+        object.__setattr__(form, "_bounds", bounds)
         return form
 
     @classmethod
@@ -380,6 +244,12 @@ class DirichletForm:
         gen = -self.matrix / self.space.mu[:, None]
         gen.flags.writeable = False
         return gen
+
+    @cached_property
+    def _rates(self) -> np.ndarray:
+        """b(x) / mu(x) per point (:func:`_row_bounds`): A(x, x) / mu(x) on a dominant matrix."""
+        bounds = np.diagonal(self.matrix) if self._bounds is None else self._bounds
+        return bounds / self.space.mu
 
     @cached_property
     def _eig(self):
@@ -537,7 +407,7 @@ def is_invariant(form: DirichletForm, subset: Iterable):
     G(x, y) across it are at most t rho for G = T_t and rho / alpha^2 for
     the resolvent, with rho the largest row or column sum of
     D^{-1/2} C D^{-1/2}.  Past that bound, plus roundoff of TAU (1 + t gamma)
-    and TAU (1 + gamma / alpha) / alpha with gamma = max A(x, x) / mu(x),
+    and TAU (1 + gamma / alpha) / alpha with gamma = max b(x) / mu(x) (:func:`_row_bounds`),
     :class:`ConsistencyError` is raised.  A jump just above the threshold
     leaks no more than roundoff, so non-invariance is not cross checked.
 
@@ -754,13 +624,14 @@ def classify(form: DirichletForm) -> Classification:
     T_1 1 <= T_s 1 <= 1; the energy floor, the bottom eigenvalue of -L_B in
     L2(mu), lies in [0, K_B / m_B], the weighted Rayleigh quotient of the
     constant.  The roundoff allowed is TAU (1 + gamma) sqrt(m_B M) for the
-    mass, with gamma = max A(x, x) / mu(x), block mass m_B and total mass M,
+    mass, with gamma = max b(x) / mu(x) (:func:`_row_bounds`, A(x, x) on a
+    dominant matrix), block mass m_B and total mass M,
     and TAU gamma_B, the same maximum over B, for the floor.  A floor below 0
     may reach Gershgorin's bound for -L_B, below 0 only on a block that
     validation let through inside its margins.
     """
     mu, k, killed = form.space.mu, form.killing, _killed(form)
-    rates = np.diagonal(form.matrix) / mu
+    rates = form._rates
     mass_slack = TAU * (1.0 + float(rates.max())) * math.sqrt(form.space.total_mass)
     verdicts = [
         _block_verdicts(eig, mu[p], k[p], rates[p], killed[p], mass_slack,
@@ -773,7 +644,7 @@ def classify(form: DirichletForm) -> Classification:
 def _block_verdicts(eig, mu, k, rates, killed, mass_slack, blocks) -> tuple:
     """The checks of :func:`classify` on a stack of k blocks, from their stacked eigendecomposition.
 
-    ``mu``, ``k``, ``rates`` (A(x, x) / mu(x)) and ``killed`` are (k, s),
+    ``mu``, ``k``, ``rates`` (b(x) / mu(x), :func:`_row_bounds`) and ``killed`` are (k, s),
     ``mass_slack`` is TAU (1 + gamma) sqrt(M), one or one per block, and
     ``blocks()`` gives the split blocks, read only for Gershgorin's bound.
     Returns, per block, whether a bound fails, the mass loss, the energy

@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ErgodecError
+from ._validation import _symmetrize
 from .forms import Classification, DirichletForm
 from .spaces import (
     Fiber,
@@ -133,8 +134,9 @@ def form_from_json(obj: dict) -> DirichletForm:
     """Read a form given either by an edge list or by a dense energy matrix."""
     space = space_from_json(_field(obj, "space", "the form document"))
     n = space.n
-    if "matrix" in obj:
-        return DirichletForm.from_matrix(space, _float_array(obj["matrix"], "matrix", (n, n)))
+    if "matrix" in obj:  # from_matrix on the parsed array, which becomes the form's matrix
+        matrix = _symmetrize(_float_array(obj["matrix"], "matrix", (n, n)))
+        return DirichletForm._from_symmetrized(space, matrix)
     jump = _jump_from_edges(space, obj.get("edges", []))
     killing = obj.get("killing")
     if killing is not None:

@@ -217,6 +217,95 @@ def validated_jump_kernel_form(space, jump, killing=None):
     return DirichletForm(space, np.diag(jump.sum(axis=1) + killing) - jump)
 
 
+def reference_is_markovian(matrix, space):
+    """``is_markovian`` with every check on n x n temporaries: the symmetrization, ``np.abs``,
+    the coupling masks and gains, and the jump kernel of the payload."""
+    from ergodec._tolerance import MARKOV_RTOL, PSD_RTOL
+    from ergodec._validation import _matrix_scale
+    from ergodec.errors import NonFiniteError, NotPSDError
+
+    q = np.asarray(matrix, dtype=float)
+    if q.shape != (space.n, space.n):
+        raise ValueError("matrix shape does not match the space")
+    finite = np.isfinite(q)
+    if not finite.all():
+        x, y = np.argwhere(~finite)[0]
+        raise NonFiniteError(f"matrix entry ({x}, {y}) is not finite")
+    q = 0.5 * (q + q.T)
+    diag = np.diag(q)
+    floor = float((2.0 * diag - np.abs(q).sum(axis=1)).min())
+    if floor < -0.5 * PSD_RTOL * max(1.0, float(diag.max())):
+        evals = np.linalg.eigvalsh(q)
+        norm = float(np.abs(evals).max())
+        if evals[0] < -PSD_RTOL * max(1.0, norm):
+            raise NotPSDError(float(evals[0]))
+    if (diag < 0).any():
+        x = int(np.argmax(diag < 0))
+        raise NotPSDError(diag[x], f"matrix is not positive semidefinite: A(x, x) = "
+                                   f"{diag[x]:.3e} < 0 at point {space.points[x]!r}")
+    tol = MARKOV_RTOL * _matrix_scale(q)
+    n = space.n
+    off_diagonal = ~np.eye(n, dtype=bool)
+    row_sums = q.sum(axis=1)
+    usable = diag > tol
+    safe_diag = np.where(usable, diag, 1.0)
+    pairs = off_diagonal & (q > tol) & usable
+    rows = row_sums < -tol
+    pair_gain = np.where(pairs, q * q / safe_diag, -np.inf)
+    row_gain = np.where(usable, row_sums * row_sums / safe_diag, -2.0 * row_sums - diag)
+    row_gain = np.where(rows, row_gain, -np.inf)
+    best, best_gain = None, -np.inf
+    if pairs.any():
+        x, y = divmod(int(np.argmax(pair_gain)), n)
+        best, best_gain = np.zeros(n), pair_gain[x, y]
+        best[x] = 1.0
+        best[y] = -q[x, y] / q[y, y]
+    if rows.any():
+        x = int(np.argmax(row_gain))
+        if row_gain[x] > best_gain:
+            best = np.ones(n)
+            best[x] += -row_sums[x] / q[x, x] if q[x, x] > tol else 1.0
+    if best is not None:
+        g = np.clip(best, 0.0, 1.0)
+        if float(g @ q @ g - best @ q @ best) > 0:
+            return False, best
+    jump = np.negative(q)
+    np.maximum(jump, 0.0, out=jump)
+    np.fill_diagonal(jump, 0.0)
+    return True, (jump, np.maximum(q.sum(axis=-1), 0.0))
+
+
+def reference_dense_form(space, matrix, *, symmetrize=True):
+    """The (matrix, killing) of ``DirichletForm.from_matrix``, or of the constructor when not
+    ``symmetrize``, validated out of place: a copy of the input, the asymmetry ``a - a.T``,
+    :func:`reference_is_markovian`, the rebuilt matrix and a last symmetrization.  Numpy's
+    floating-point warnings are silenced; they change no outcome."""
+    from ergodec._tolerance import SYMMETRY_RTOL
+    from ergodec._validation import _check_range, _matrix_scale
+    from ergodec.errors import NotMarkovianError
+
+    with np.errstate(all="ignore"):
+        a = np.asarray(matrix, dtype=float)
+        if symmetrize:
+            a = 0.5 * (a + a.T)
+        a = np.array(a, dtype=float)
+        if a.shape != (space.n, space.n):
+            raise ValueError("matrix shape does not match the space")
+        scale = _matrix_scale(a)
+        if np.abs(a - a.T).max() > SYMMETRY_RTOL * scale:
+            raise ValueError("energy matrix must be symmetric")
+        ok, payload = reference_is_markovian(a, space)
+        if not ok:
+            raise NotMarkovianError(witness=payload)
+        jump, killing = payload
+        rebuilt = np.diag(jump.sum(axis=1) + killing) - jump
+        if np.abs(rebuilt - a).max() > SYMMETRY_RTOL * scale:
+            raise NotMarkovianError(message="jump/killing data does not rebuild the matrix")
+        a = 0.5 * (a + a.T)
+        _check_range(a, space)
+    return a, killing
+
+
 def reference_decompose_residuals(dec):
     """The residuals of ``decompose``, each n x n difference a new array."""
     form, layout = dec.form, dec.quotient._layout.blocks

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -828,6 +829,34 @@ def test_edge_document_outcomes_are_pinned(tmp_path, name):
         assert outcome[0] == 0 and outcome == classify(expected)
     else:
         assert outcome == (code, "", expected)
+
+
+# Documents whose validation overflows: a diagonal entry above float max / 2
+# becomes inf in the symmetrized matrix, and the Gershgorin floor is NaN.
+OVERFLOW_DOCUMENTS = {
+    "edges-killing-above-half-max": (
+        {"space": {"points": ["p0", "p1"], "mu": [1e-300, 1e300]},
+         "edges": [["p0", "p0", 1e-320]], "killing": [-1.0, 9e307]},
+        "error: matrix is not positive semidefinite: A(x, x) = -1.000e+00 < 0 at point 'p0'\n",
+    ),
+    "matrix-entry-above-half-max": (
+        {"space": {"points": ["p0", "p1"], "mu": [1.0, 1.0]}, "matrix": [[1.0, 0.0], [0.0, 1e308]]},
+        "error: matrix entry (1, 1) is not finite\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["classify", "verify"])
+@pytest.mark.parametrize("name", sorted(OVERFLOW_DOCUMENTS))
+def test_overflow_in_validation_exits_2_without_warnings(tmp_path, capsys, command, name):
+    document, message = OVERFLOW_DOCUMENTS[name]
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(document))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--input", str(path)])
+    assert (code, capsys.readouterr().err) == (2, message)
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize("case", ["input-directory", "input-not-utf8", "out-missing-directory",

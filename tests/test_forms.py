@@ -34,7 +34,9 @@ from conftest import (
     brute_force_witness,
     contraction_gain,
     random_contraction_search,
+    reference_dense_form,
     reference_invariant_sets,
+    reference_is_markovian,
     series_expm,
     solve_resolvent,
     validated_jump_kernel_form,
@@ -365,17 +367,18 @@ def test_uncertified_jump_kernel_gives_validated_error(name):
 
 
 def test_certified_construction_skips_is_markovian(monkeypatch):
-    import ergodec.forms
+    """The checks of ``is_markovian``, which the constructor runs too, are skipped on certified input."""
+    import ergodec._validation
     from ergodec.serialize import form_from_json, form_to_json
 
     calls = []
-    original = ergodec.forms.is_markovian
+    original = ergodec._validation._sub_markov
 
     def spy(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(ergodec.forms, "is_markovian", spy)
+    monkeypatch.setattr(ergodec._validation, "_sub_markov", spy)
     form = random_form(4, 40, 3, killing_prob=0.3)
     form_from_json(form_to_json(form))
     girsanov_transform(random_form(5, 20, 2), np.linspace(0.5, 1.5, 20))
@@ -515,6 +518,112 @@ def test_symmetrized_matrix_equals_out_of_place_quotient(monkeypatch):
     symmetrized_eig(form.matrix, form.space.mu)
     sqrt_mu = np.sqrt(form.space.mu)
     assert bits(seen[0]) == bits(form.matrix / sqrt_mu[:, None] / sqrt_mu[None, :])
+
+
+# ------------------------------------------- dense validation in row panels
+
+
+def _with(matrix, *entries):
+    matrix = np.array(matrix)
+    for x, y, value in entries:
+        matrix[x, y] = value
+    return matrix
+
+
+def _antisymmetric_defect(matrix, factor):
+    """``matrix`` with |A - A^T| = ``factor`` * SYMMETRY_RTOL * (1 + max |A|) at one pair."""
+    from ergodec._tolerance import SYMMETRY_RTOL
+
+    defect = factor * SYMMETRY_RTOL * (1.0 + np.abs(matrix).max())
+    return _with(matrix, (70, 3, matrix[70, 3] + defect / 2), (3, 70, matrix[3, 70] - defect / 2))
+
+
+def _dense_inputs():
+    """Dense matrices of 130 to 150 points, three row panels, and 2 x 2 ones at float max."""
+    rng = np.random.default_rng(23)
+    markov = np.array(random_form(3, 150, 6, killing_prob=0.3).matrix)
+    b = rng.standard_normal((150, 75))
+    symmetric = rng.standard_normal((150, 150))
+    return {
+        "markov": markov,
+        "markov-one-block": np.array(random_form(4, 130, 1, density=0.05).matrix),
+        "psd-not-markov": b @ b.T,
+        "not-psd": symmetric + symmetric.T,
+        "nan": _with(markov, (100, 7, np.nan)),
+        "inf": _with(markov, (3, 120, np.inf), (140, 2, -np.inf)),
+        "diagonal-above-half-max": _with(markov, (80, 80, 1e308)),
+        "coupling-above-half-max": _with(markov, (5, 90, 1.7e308), (90, 5, 1.7e308)),
+        "one-sided-above-half-max": _with(markov, (5, 90, 1.7e308)),
+        "asymmetry-inside": _antisymmetric_defect(markov, 0.9),
+        "asymmetry-outside": _antisymmetric_defect(markov, 1.1),
+        "positive-coupling-in-last-panel": _with(markov, (140, 141, 1e-3), (141, 140, 1e-3)),
+        # Equal gains in the first and the second panel: the first in row-major order wins.
+        "tied-couplings-in-two-panels": _with(
+            markov, *[(x, x, 50.0) for x in (10, 11, 100, 101)],
+            *[(x, y, 1.0) for x, y in ((10, 11), (11, 10), (100, 101), (101, 100))]),
+        "negative-diagonal-overflows": np.array([[-1.0, 0.0], [0.0, 9e307]]),
+        "coupling-overflows": np.array([[1.0, 9e307], [9e307, 1.0]]),
+    }
+
+
+DENSE_INPUTS = _dense_inputs()
+
+
+def dense_outcome(build):
+    """The bytes of the form (or of the payload of ``is_markovian``), or the error and its witness."""
+    try:
+        result = build()
+    except Exception as exc:  # every error is compared, whatever its type
+        witness = getattr(exc, "witness", None)
+        return type(exc), str(exc), None if witness is None else bits(witness)
+    if isinstance(result, DirichletForm):
+        return bits(result.matrix), bits(result.killing)
+    ok, payload = result
+    return (bits(payload[0]), bits(payload[1])) if ok else ("witness", bits(payload))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the reference warns on overflow
+@pytest.mark.parametrize("name", sorted(DENSE_INPUTS))
+def test_dense_validation_matches_the_reference(name):
+    from ergodec.serialize import form_from_json
+
+    matrix = DENSE_INPUTS[name]
+    n = len(matrix)
+    space = validate_space([(f"p{i}", 0.1 + i % 7) for i in range(n)])
+    document = {"space": {"points": list(space.points), "mu": space.mu.tolist()},
+                "matrix": matrix.tolist()}
+
+    def reference_form(symmetrize=True):
+        return lambda: DirichletForm._unchecked(
+            space, *reference_dense_form(space, matrix, symmetrize=symmetrize))
+
+    pairs = [
+        (lambda: DirichletForm.from_matrix(space, matrix), reference_form()),
+        (lambda: DirichletForm(space, matrix), reference_form(symmetrize=False)),
+        (lambda: form_from_json(document), reference_form()),
+        (lambda: is_markovian(matrix, space), lambda: reference_is_markovian(matrix, space)),
+    ]
+    for build, reference in pairs:
+        assert dense_outcome(build) == dense_outcome(reference)
+
+
+def test_row_bounds_are_the_diagonal_of_a_form_built_from_a_kernel():
+    from ergodec import decompose
+    from ergodec._validation import _row_bounds
+
+    for form in (random_form(6, 200, 5, killing_prob=0.3), random_form(7, 150, 1, density=0.05)):
+        assert bits(_row_bounds(form.matrix)) == bits(np.diagonal(form.matrix))
+        fibers = [f.matrix for f in decompose(form).fibers]
+        size = max(len(f) for f in fibers)
+        fibers = np.stack([f for f in fibers if len(f) == size])
+        assert bits(_row_bounds(fibers)) == bits(np.diagonal(fibers, axis1=-2, axis2=-1))
+        assert bits(_row_bounds(1e305 * form.matrix)) == bits(np.diagonal(1e305 * form.matrix))
+        assert form._bounds is None and DirichletForm.from_matrix(form.space, form.matrix)._bounds is None
+    # Within the validation margins a coupling may pass its diagonal; the form keeps its row bounds.
+    space = validate_space([("a", 1.0), ("b", 1.0), ("c", 1.0)])
+    form = DirichletForm(space, np.array([[1e30, 0.0, 0.0], [0.0, 2.0, 1e9], [0.0, 1e9, 1e9]]))
+    assert form._bounds.tolist() == [1e30, 1e9, 1e9]
+    assert np.array_equal(form._rates, form._bounds)
 
 
 # ------------------------------------------------------------ beurling-deny

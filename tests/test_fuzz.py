@@ -1,5 +1,7 @@
 """Standing fuzz properties: documents of one to five points with extreme weights.
 
+A document is an edge list or a dense matrix, symmetric or not.
+
 Every weight is drawn from values between 1e-300 and 1e300, zero and -0.0
 included, so the documents reach the edges of the representable range, and
 from small negative values, which the validation margins can let through.
@@ -46,9 +48,16 @@ COMMANDS = ("decompose", "classify", "measures", "verify", "superpose", "girsano
 
 @st.composite
 def documents(draw):
+    """An "edges" document, or a dense "matrix" document, symmetric or not."""
     n = draw(st.integers(1, 5))
     points = [f"p{i}" for i in range(n)]
     doc = {"space": {"points": points, "mu": draw(st.lists(values, min_size=n, max_size=n))}}
+    if draw(st.booleans()):
+        rows = [draw(st.lists(values, min_size=n, max_size=n)) for _ in range(n)]
+        if draw(st.booleans()):
+            rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        doc["matrix"] = rows
+        return doc
     doc["edges"] = [[points[i], points[j], draw(values)]
                     for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
     if draw(st.booleans()):
@@ -92,6 +101,28 @@ MASS_OVERFLOW = {"space": {"points": ["a", "b"], "mu": [1e308, 1e308]}, "edges":
 #: The weight 1.7e308 is finite with its total, but twice it and phi^2 times it overflow.
 NEAR_FLOAT_MAX = {"space": {"points": ["p0", "p1", "p2"], "mu": [1.7e308, 1.0, 1.0]},
                   "edges": [["p1", "p2", 1.0]]}
+#: The killing 9e307 is above float max / 2: the symmetrized diagonal overflows to inf.
+DIAGONAL_OVERFLOW = {"space": {"points": ["p0", "p1"], "mu": [1e-300, 1e300]},
+                     "edges": [["p0", "p0", 1e-320]], "killing": [-1.0, 9e307]}
+#: Dense matrices that validation accepts within its margins, relative to their
+#: largest entry, but that are not diagonally dominant: the coupling 5e8 over
+#: mu = 1e-300 does not fit in floats; the couplings of a zero diagonal and the
+#: coupling 1e9 past the diagonal 2 set the roundoff of the classification.
+DENSE_COUPLING_OUT_OF_RANGE = {"space": {"points": ["p0", "p1", "p2"], "mu": [1e-200, 1e-300, 1e-300]},
+                               "matrix": [[1e30, -1e-17, -1e-17], [-1e-17, 0.0, 1e9],
+                                          [-1e-17, -1e-17, 0.0]]}
+DENSE_ZERO_DIAGONAL = {"space": {"points": ["p0", "p1", "p2"], "mu": [1e-300, 1e-300, 1e-300]},
+                       "matrix": [[0.0, -1e-17, -1e-17], [-1e-17, 0.0, -1e-17],
+                                  [-1e-17, -2.4e-62, 0.0]]}
+DENSE_COUPLING_PAST_DIAGONAL = {
+    "space": {"points": ["p0", "p1", "p2", "p3"], "mu": [1e9, 2.0, 1e200, 1e-100]},
+    "matrix": [[2.0, 1e-11, 1e9, -0.0], [1e-11, 1e200, 1e-200, -1e-300],
+               [1e9, 1e-200, 1e9, -2.4e-62], [-0.0, -1e-300, -2.4e-62, 1e-30]],
+}
+#: A dense entry above float max / 2 overflows in 0.5 (A + A^T) on the diagonal; off it,
+#: it is halved.
+DENSE_ABOVE_HALF_MAX = {"space": {"points": ["p0", "p1", "p2"], "mu": [1.0, 1e-300, 1e300]},
+                        "matrix": [[1.0, 1.7e308, 0.0], [0.0, 2.0, -1.0], [0.0, -1.0, 1.7e308]]}
 
 
 @seed(20261019)
@@ -105,6 +136,11 @@ NEAR_FLOAT_MAX = {"space": {"points": ["p0", "p1", "p2"], "mu": [1.7e308, 1.0, 1
 @example(POSITIVE_COUPLING)
 @example(MASS_OVERFLOW)
 @example(NEAR_FLOAT_MAX)
+@example(DIAGONAL_OVERFLOW)
+@example(DENSE_ABOVE_HALF_MAX)
+@example(DENSE_COUPLING_OUT_OF_RANGE)
+@example(DENSE_ZERO_DIAGONAL)
+@example(DENSE_COUPLING_PAST_DIAGONAL)
 def test_every_document_has_a_defined_outcome(doc):
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "form.json")
@@ -145,6 +181,11 @@ GLOBAL_EIGH_FAILS = {"space": {"points": ["p0", "p1", "p2", "p3", "p4"],
 @example(MASS_OVERFLOW)
 @example(NEAR_FLOAT_MAX)
 @example(GLOBAL_EIGH_FAILS)
+@example(DIAGONAL_OVERFLOW)
+@example(DENSE_ABOVE_HALF_MAX)
+@example(DENSE_COUPLING_OUT_OF_RANGE)
+@example(DENSE_ZERO_DIAGONAL)
+@example(DENSE_COUPLING_PAST_DIAGONAL)
 def test_library_decisions_agree(doc):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -7,9 +7,11 @@ import pytest
 from ergodec import (
     DirichletForm,
     NonFiniteError,
+    NotMarkovianError,
     classification_decomposition,
     decompose,
     decompose_operator,
+    is_markovian,
     quotient_by_invariant_partition,
     semigroup,
     validate_space,
@@ -185,6 +187,44 @@ def test_edge_list_parsing_matches_sequential_writes(seed, tuple_labels):
     expected = DirichletForm.from_jump_kernel(form.space, sequential_jump(form.space, obj["edges"]))
     assert np.array_equal(form.matrix, expected.matrix)
     assert np.array_equal(form.jump, expected.jump)
+
+
+@pytest.mark.parametrize("kind", ["markov", "psd-not-markov"])
+def test_dense_form_from_json_holds_one_n_by_n_array(kind):
+    # The parsed array is symmetrized in place and validated in row panels;
+    # eigvalsh copies it outside numpy's traced allocator.
+    n = 400
+    if kind == "markov":
+        form = random_form(2, n, 8, 0.1, 0.05)
+        space, matrix = form.space, np.array(form.matrix)
+    else:
+        rng = np.random.default_rng(5)
+        b = rng.standard_normal((n, n // 2))
+        space, matrix = validate_space([(f"p{i}", 1.0) for i in range(n)]), b @ b.T
+    obj = json.loads(json.dumps({"space": space_to_json(space), "matrix": matrix.tolist()}))
+
+    def load():
+        try:
+            return form_from_json(obj)
+        except NotMarkovianError:
+            return None
+
+    assert (load() is None) == (kind != "markov")  # one-off allocations of a first call stay out
+    tracemalloc.start()
+    try:
+        load()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * 8 * n * n
+    # A caller's array is copied once and never written.
+    before = matrix.tobytes()
+    for build in (DirichletForm.from_matrix, DirichletForm, lambda s, m: is_markovian(m, s)):
+        try:
+            build(space, matrix)
+        except NotMarkovianError:
+            pass
+        assert matrix.tobytes() == before
 
 
 def test_form_from_json_holds_one_n_by_n_array():
