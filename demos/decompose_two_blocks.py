@@ -30,7 +30,6 @@ print("E(f)           =", form.energy(f))
 print("reassembled    =", dec.reassembled_energy(f))
 
 report = verify_decomposition(dec)
-print("form defect    =", report.form_defect)
-print("semigroup defects:", report.semigroup_defects)
-print("resolvent defects:", report.resolvent_defects)
+for r in report.residuals:  # form, semigroup and resolvent at three parameters each, isometry
+    print(f"{r.name} defect = {r.value:.3e} (tolerance {r.tolerance:g})")
 print("all fibers irreducible:", all(report.fibers_irreducible))

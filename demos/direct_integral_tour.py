@@ -25,7 +25,7 @@ print("blocks:", [dec.quotient.blocks[z] for z in dec.labels])
 
 for p in (1, 2, 4):
     report = assemble_lp(dec.quotient.space, dec.family, p)
-    print(f"L^{p} isometry defect = {report.norm_defect:.2e}, "
+    print(f"L^{p} isometry defect = {report.residuals[0].value:.2e}, "
           f"lattice exact = {report.lattice_exact}")
 
 t1 = semigroup(form, 1.0)

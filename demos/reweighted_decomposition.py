@@ -28,5 +28,5 @@ print("reassembled through psi =", dec_psi.reassembled_energy(f))
 
 comparison = compare_projective(dec_phi, dec_psi)
 print("density ratio g =", np.round(comparison.density_ratio, 6))
-print("measure defect  =", comparison.measure_defect)
-print("form defect     =", comparison.form_defect)
+for r in comparison.residuals:
+    print(f"{r.name} defect", "=", r.value)

@@ -37,7 +37,6 @@ _EXPORTS = {
         "PartitionMismatchError",
     ),
     "spaces": (
-        "DisintegrationReport",
         "Fiber",
         "FiniteMeasureSpace",
         "IndexSpace",
@@ -54,7 +53,6 @@ _EXPORTS = {
         "Classification",
         "ComponentClassification",
         "DirichletForm",
-        "InvarianceReport",
         "YosidaApproximation",
         "beurling_deny",
         "carre_du_champ",
@@ -86,7 +84,6 @@ _EXPORTS = {
         "superpose",
     ),
     "ergodic": (
-        "CarreDecompositionReport",
         "DecompositionClassification",
         "DecompositionReport",
         "ErgodicDecomposition",
@@ -106,6 +103,7 @@ _EXPORTS = {
         "verify_decomposition",
     ),
     "generate": ("random_form",),
+    "_tolerance": ("Residual", "worst"),
 }
 
 # public name -> module that defines it

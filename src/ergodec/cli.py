@@ -18,7 +18,7 @@ from itertools import chain
 import numpy as np
 
 from ._jsonenc import iterencode
-from ._tolerance import RESIDUAL_TOLERANCE
+from ._tolerance import RESIDUAL_TOLERANCE, Residual, worst
 from .errors import ConsistencyError, ErgodecError, NotMarkovianError
 from .forms import _matrix_scale, carre_du_champ, classify, girsanov_transform
 from .serialize import (
@@ -27,6 +27,7 @@ from .serialize import (
     decomposition_report,
     form_from_json,
     form_to_json,
+    residuals_to_json,
 )
 
 
@@ -159,6 +160,12 @@ def _scalar_text(value) -> str:
     return f"{value:.12g}"
 
 
+def _worst_text(r: Residual) -> str:
+    """The name, value and share of the tolerance of a residual, for the text report."""
+    name = " ".join(map(str, r.name)) if isinstance(r.name, tuple) else r.name
+    return f"{name} = {_scalar_text(r.value)}, {r.share:.3g} of its tolerance {_scalar_text(r.tolerance)}"
+
+
 def _emit(report: dict, args) -> None:
     """Write the report, ``json.dumps(report, indent=2)`` or its text lines, and a newline.
 
@@ -228,6 +235,8 @@ def _cmd_verify(args) -> int:
     verification = verify_decomposition(dec, tolerance=args.tolerance)
     report = decomposition_report(dec, verification)
     report["passed"] = verification.passed
+    if args.format == "text":
+        report["worst"] = _worst_text(worst(verification.residuals))
     _emit(report, args)
     return 0 if verification.passed else 3
 
@@ -239,18 +248,16 @@ def _cmd_girsanov(args) -> int:
 
     gamma = carre_du_champ(form)
     rng = np.random.default_rng(args.seed)
-    defect = 0.0
+    defects = [0.0]
     for _ in range(20):
         f = rng.uniform(-1.0, 1.0, size=form.n)
         direct = float(np.dot(gamma(f), transformed.space.mu))  # phi^2 mu
-        defect = max(defect, abs(transformed.energy(f) - direct))
-    defect /= _matrix_scale(transformed.matrix)  # relative to 1 + max |A|, as the form defect
-    report = {
-        "transformed": form_to_json(transformed),
-        "identity_defect": defect,
-    }
-    _emit(report, args)
-    return 0 if defect <= args.tolerance else 3
+        defects.append(abs(transformed.energy(f) - direct))
+    # Relative to 1 + max |A|, as the form defect.
+    identity = Residual("identity_defect", float(np.max(defects)) / _matrix_scale(transformed.matrix),
+                        args.tolerance)
+    _emit({"transformed": form_to_json(transformed), **residuals_to_json((identity,))}, args)
+    return 0 if identity.passed else 3
 
 
 def _cmd_superpose(args) -> int:
@@ -259,15 +266,12 @@ def _cmd_superpose(args) -> int:
     result = superpose(dec.quotient.space, dec.family, dec.fibers)
     # The superposition reassembles the probability-normalized energy.
     target = form.matrix / dec.normalization_scale
-    defect = float(np.abs(result.energy_matrix - target).max())
-    report = {
-        "scale": dec.normalization_scale,
-        "superposition_defect": defect,
-        "isomorphism_defect": result.isomorphism_defect,
-    }
-    _emit(report, args)
-    ok = defect <= args.tolerance and result.isomorphism_defect <= args.tolerance
-    return 0 if ok else 3
+    residuals = (
+        Residual("superposition_defect", float(np.abs(result.energy_matrix - target).max()), args.tolerance),
+        Residual("isomorphism_defect", result.isomorphism_defect, args.tolerance),
+    )
+    _emit({"scale": dec.normalization_scale, **residuals_to_json(residuals)}, args)
+    return 0 if worst(residuals).passed else 3
 
 
 def _cmd_measures(args) -> int:

@@ -33,7 +33,7 @@ from .errors import (
     NotDecomposableError,
     NotSeparatedError,
 )
-from ._tolerance import TAU
+from ._tolerance import RESIDUAL_TOLERANCE, TAU, Residual
 from .forms import DirichletForm, _matrix_scale, is_markovian
 from .spaces import FiniteMeasureSpace, MeasureFamily, QuotientMap, is_separated
 
@@ -82,10 +82,10 @@ def assemble_l2(space: FiniteMeasureSpace, family: MeasureFamily) -> L2Embedding
 
 @dataclass(frozen=True)
 class LpIsometryReport:
-    p: float
-    norm_defect: float
+    """The residual ``"norm"`` of the Lp isometry, and whether the lattice operations commute."""
+
+    residuals: tuple
     lattice_exact: bool
-    trials: int
 
 
 def assemble_lp(
@@ -100,7 +100,8 @@ def assemble_lp(
 
     For random test vectors f the report compares ||f||_p on the ambient
     space with (sum_z nu(z) ||f_z||_p^p)^(1/p) over the fibers, and verifies
-    that the embedding commutes with the lattice operations exactly.  The
+    that the embedding commutes with the lattice operations exactly; the
+    worst norm defect is checked against ``RESIDUAL_TOLERANCE``.  The
     vectors are drawn from ``rng``, by default the stream of
     ``numpy.random.default_rng(0)``, reproduced without importing
     ``numpy.random``.
@@ -115,7 +116,7 @@ def assemble_lp(
     embed._check_separated()
     rng = Seed0Stream() if rng is None else rng
 
-    defect = 0.0
+    defects = [0.0]
     lattice_exact = True
     for _ in range(trials):
         f = rng.uniform(-1.0, 1.0, size=space.n)
@@ -124,7 +125,7 @@ def assemble_lp(
             nu * fiber.lp_norm(u, p) ** p
             for nu, fiber, u in zip(family.index.nu, family.fiber_spaces(), embed(f))
         ) ** (1.0 / p)
-        defect = max(defect, abs(space.lp_norm(f, p) - fibered))
+        defects.append(abs(space.lp_norm(f, p) - fibered))
         meet = embed(np.minimum(f, g))
         for u, a, b in zip(meet, embed(f), embed(g)):
             if not np.array_equal(u, np.minimum(a, b)):
@@ -133,7 +134,7 @@ def assemble_lp(
         for u, a in zip(pos, embed(f)):
             if not np.array_equal(u, np.maximum(a, 0.0)):
                 lattice_exact = False
-    return LpIsometryReport(p, defect, lattice_exact, trials)
+    return LpIsometryReport((Residual("norm", float(np.max(defects)), RESIDUAL_TOLERANCE),), lattice_exact)
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,11 +394,11 @@ def superpose(
     energy_matrix = embed._layout.assemble(np.zeros((space.n, space.n)), form.matrices, family.index.nu)
 
     rng = Seed0Stream() if rng is None else rng
-    defect = 0.0
+    defects = [0.0]
     for _ in range(trials):
         f = rng.uniform(-1.0, 1.0, size=space.n)
         field = embed(f)
         graph_ambient = float(f @ energy_matrix @ f) + space.norm(f) ** 2
         graph_fibered = form.energy(field) + family.norm(field) ** 2
-        defect = max(defect, abs(graph_ambient - graph_fibered))
-    return SuperpositionResult(energy_matrix, form, embed, defect)
+        defects.append(abs(graph_ambient - graph_fibered))
+    return SuperpositionResult(energy_matrix, form, embed, float(np.max(defects)))

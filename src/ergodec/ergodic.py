@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from ._linalg import (
     symmetrized_eig,
 )
 from ._stream import Seed0Stream
-from ._tolerance import RESIDUAL_TOLERANCE, TAU
+from ._tolerance import RESIDUAL_TOLERANCE, TAU, Residual, worst
 from ._validation import _row_bounds
 from .errors import ConsistencyError, NotInvariantError, NotRepresentableError, PartitionMismatchError
 from .forms import (
@@ -83,19 +82,15 @@ def _reassembled_energy(dec: ErgodicDecomposition, fibers, f, g) -> float:
     return sum(float(w) * fiber.energy(f[idx], g[idx]) for w, idx, fiber in blocks)
 
 
+def _reassembly_residual(defect: float, form: DirichletForm) -> Residual:
+    """max |sum_z nu(z) A_z - A| against ``RESIDUAL_TOLERANCE`` times 1 + max |A|."""
+    return Residual("form_reassembly", defect, RESIDUAL_TOLERANCE * _matrix_scale(form.matrix))
+
+
 def _reassembled_matrix(dec: ErgodicDecomposition, fibers) -> np.ndarray:
     """sum_z nu(z) A_z, fiber matrices on the blocks of a decomposition weighted and assembled."""
     n = dec.form.n
     return dec.form._layout.assemble(np.zeros((n, n)), [f.matrix for f in fibers], dec.quotient.index.nu)
-
-
-def _worst(residuals) -> float:
-    """The largest residual, NaN if any residual is NaN.
-
-    Python's ``max`` keeps its current value when compared with NaN, so a
-    NaN residual would be dropped unless it came first.
-    """
-    return float(np.max(list(residuals), initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,11 +141,16 @@ class ErgodicDecomposition:
         return self.form._layout.blockwise([_irreducible(a) for a, _ in self._fiber_stacks])
 
     @cached_property
-    def residuals(self) -> dict:
-        """Max-abs defects of the energy reassembly and of the fiber generators, on first access."""
+    def residuals(self) -> tuple:
+        """The max-abs defects of the energy reassembly and of the fiber generators, on first
+        access, against ``RESIDUAL_TOLERANCE`` times their scales 1 + max |A| and 1 + gamma."""
         generator_defects = [_generator_defect(self.form, p, a, mu)
                              for (_, p), (a, mu) in zip(self.form._layout.stacks, self._fiber_stacks)]
-        return {"form_reassembly": self._reassembly, "fiber_generator": _worst(generator_defects)}
+        return (
+            _reassembly_residual(self._reassembly, self.form),
+            Residual("fiber_generator", float(np.max(generator_defects)),
+                     RESIDUAL_TOLERANCE * (1.0 + _generator_scale(self.form))),
+        )
 
     @cached_property
     def _reassembly(self) -> float:
@@ -253,23 +253,15 @@ def decompose(form: DirichletForm) -> ErgodicDecomposition:
 
 @dataclass(frozen=True)
 class DecompositionReport:
-    """Residual norms of the identities a decomposition must satisfy."""
+    """The residuals of a decomposition's identities, ``"form"``, ``("semigroup", t)``,
+    ``("resolvent", alpha)`` and ``"isometry"`` in that order, and whether each fiber is irreducible."""
 
-    form_defect: float
-    semigroup_defects: Mapping[float, float]
-    resolvent_defects: Mapping[float, float]
-    isometry_defect: float
+    residuals: tuple
     fibers_irreducible: tuple
-    tolerance: float
-    passed: bool
 
-    def worst(self) -> float:
-        return _worst((
-            self.form_defect,
-            *self.semigroup_defects.values(),
-            *self.resolvent_defects.values(),
-            self.isometry_defect,
-        ))
+    @property
+    def passed(self) -> bool:
+        return worst(self.residuals).passed and all(self.fibers_irreducible)
 
 
 def verify_decomposition(
@@ -286,8 +278,8 @@ def verify_decomposition(
     Checks the energy reassembly on the standard basis, the blockwise
     splitting of the semigroup and the resolvent at the given parameters,
     the isometry of the diagonal embedding on random vectors, and that each
-    fiber is irreducible.  Passes when every residual is at or below the
-    tolerance.  The vectors are drawn from ``rng``, by default the stream
+    fiber is irreducible.  Every residual is checked against ``tolerance``.
+    The vectors are drawn from ``rng``, by default the stream
     of ``numpy.random.default_rng(0)``, reproduced without importing
     ``numpy.random``.
 
@@ -301,7 +293,7 @@ def verify_decomposition(
     """
     form = dec.form
     n = form.n
-    form_defect = dec._reassembly / _matrix_scale(form.matrix)
+    form_defect = Residual("form", dec._reassembly / _matrix_scale(form.matrix), tolerance)
 
     form._eig  # cached on the form for the products below
     fiber_eigs, layout = dec._fiber_eigs, form._layout
@@ -319,63 +311,47 @@ def verify_decomposition(
         with np.errstate(over="ignore"):
             return float(np.linalg.norm(out, "fro"))
 
-    semi_defects = {t: splitting_defect(semigroup, semigroup_from_eig, t) for t in times}
-    res_defects = {a: splitting_defect(resolvent, resolvent_from_eig, a) for a in alphas}
+    splittings = [Residual(("semigroup", t), splitting_defect(semigroup, semigroup_from_eig, t), tolerance)
+                  for t in times]
+    splittings += [Residual(("resolvent", a), splitting_defect(resolvent, resolvent_from_eig, a), tolerance)
+                   for a in alphas]
 
     # ||f||^2 against sum_z nu(z) ||f restricted to z||^2 over the family, the
     # fiber terms summed in index order as MeasureFamily.inner sums them.
     rng = Seed0Stream() if rng is None else rng
-    f = np.array([rng.uniform(-1.0, 1.0, size=n) for _ in range(trials)]).reshape(trials, n)
+    f = rng.uniform(-1.0, 1.0, size=trials * n).reshape(trials, n)
     family, terms = dec.family, np.empty((trials, layout.count))
     for (members, positions), mu in zip(layout.stacks, layout.stack([z.mu for z in family.fiber_spaces()])):
         g = f[:, positions]
         terms[:, members] = family.index.nu[members] * dots(g * mu, g)
     fiber_norms = np.sqrt(np.maximum(np.cumsum(terms, axis=1)[:, -1], 0.0))
-    isometry_defect = _worst(np.abs(fiber_norms - np.sqrt(dots(f * f, dec.quotient.space.mu))))
-
-    irreducible = tuple(dec._fibers_irreducible.tolist())
-    passed = (
-        form_defect <= tolerance
-        and _worst(semi_defects.values()) <= tolerance
-        and _worst(res_defects.values()) <= tolerance
-        and isometry_defect <= tolerance
-        and all(irreducible)
-    )
-    return DecompositionReport(
-        form_defect, semi_defects, res_defects, isometry_defect, irreducible,
-        tolerance, passed,
-    )
-
-
-@dataclass(frozen=True)
-class CarreDecompositionReport:
-    restriction_defect: float
-    integral_defect: float
-    product_identity_defect: float
+    isometry_defect = np.abs(fiber_norms - np.sqrt(dots(f * f, dec.quotient.space.mu)))
+    isometry = Residual("isometry", float(np.max(isometry_defect, initial=0.0)), tolerance)
+    return DecompositionReport((form_defect, *splittings, isometry),
+                               tuple(dec._fibers_irreducible.tolist()))
 
 
 def carre_decomposition(
     dec: ErgodicDecomposition, *, trials: int = 20, rng=None
-) -> tuple[tuple, CarreDecompositionReport]:
+) -> tuple[tuple, tuple]:
     """Per-fiber energy densities of a decomposition, with their residuals.
 
     The fiber density of a restricted vector agrees pointwise with the
     global density on the fiber (the index weight scales the kernel and the
-    measure oppositely and cancels).  The report also carries, for
-    killing-free fibers, the defect of integrating the density against the
-    fiber measure versus the fiber energy, and the worst defect of the
-    product identity on random triples per fiber, drawn from ``rng``, by
-    default the stream of ``numpy.random.default_rng(0)``, reproduced
-    without importing ``numpy.random``.
+    measure oppositely and cancels): the residual ``"restriction"``.  For
+    killing-free fibers, ``"integral"`` is the defect of integrating the
+    density against the fiber measure versus the fiber energy, and
+    ``"product_identity"`` is the worst defect of the product identity, on
+    random triples per fiber drawn from ``rng``, by default the stream of
+    ``numpy.random.default_rng(0)``, reproduced without importing
+    ``numpy.random``.  Each is checked against ``RESIDUAL_TOLERANCE``.
     """
     gamma = carre_du_champ(dec.form)
     fiber_gammas = tuple(carre_du_champ(fiber) for fiber in dec.fibers)
     rng = Seed0Stream() if rng is None else rng
     n = dec.form.n
 
-    restriction = 0.0
-    integral = 0.0
-    product = 0.0
+    defects = {"restriction": [0.0], "integral": [0.0], "product_identity": [0.0]}
     for _ in range(trials):
         f = rng.uniform(-1.0, 1.0, size=n)
         g = rng.uniform(-1.0, 1.0, size=n)
@@ -383,19 +359,18 @@ def carre_decomposition(
         global_density = gamma(f, g)
         for idx, fiber, fg in zip(dec.form._layout.blocks, dec.fibers, fiber_gammas):
             fz, gz, hz = f[idx], g[idx], h[idx]
-            restriction = max(
-                restriction, float(np.abs(fg(fz, gz) - global_density[idx]).max())
-            )
+            defects["restriction"].append(np.abs(fg(fz, gz) - global_density[idx]).max())
             if fiber.killing_free:
-                integral = max(integral, abs(fg.integral(fz) - fiber.energy(fz)))
+                defects["integral"].append(abs(fg.integral(fz) - fiber.energy(fz)))
             lhs = (
                 fiber.energy(fz, gz * hz)
                 + fiber.energy(fz * hz, gz)
                 - fiber.energy(fz * gz, hz)
             )
             rhs = 2.0 * float(np.dot(hz * fg(fz, gz), fiber.space.mu))
-            product = max(product, abs(lhs - rhs))
-    return fiber_gammas, CarreDecompositionReport(restriction, integral, product)
+            defects["product_identity"].append(abs(lhs - rhs))
+    return fiber_gammas, tuple(Residual(name, float(np.max(values)), RESIDUAL_TOLERANCE)
+                               for name, values in defects.items())
 
 
 @dataclass(frozen=True, eq=False)
@@ -421,10 +396,10 @@ class WeightedDecomposition:
         return self.base.labels
 
     @cached_property
-    def residuals(self) -> dict:
-        """The max-abs defect of the lifted fibers' energy reassembly, computed on first access."""
+    def residuals(self) -> tuple:
+        """The ``form_reassembly`` residual of the lifted fibers, computed on first access."""
         reassembled = _reassembled_matrix(self.base, self.lifted_forms)
-        return {"form_reassembly": _max_abs_difference(reassembled, self.form.matrix)}
+        return (_reassembly_residual(_max_abs_difference(reassembled, self.form.matrix), self.form),)
 
     @property
     def index_weights(self) -> np.ndarray:
@@ -473,15 +448,10 @@ def decompose_weighted(form: DirichletForm, phi) -> WeightedDecomposition:
 
 @dataclass(frozen=True)
 class ProjectiveComparison:
-    """The change-of-density factor between two weighted decompositions."""
+    """The change-of-density factor of two weighted decompositions, and the residuals under it."""
 
     density_ratio: np.ndarray
-    measure_defect: float
-    form_defect: float
-
-    @property
-    def defect(self) -> float:
-        return max(self.measure_defect, self.form_defect)
+    residuals: tuple
 
 
 def compare_projective(
@@ -491,7 +461,8 @@ def compare_projective(
 
     The partitions must coincide; the comparison returns the ratio
     g = nu_psi / nu_phi on the index space and checks that the lifted fiber
-    measures match under g and the lifted fiber forms under 1/g:
+    measures match under g and the lifted fiber forms under 1/g, each
+    max-abs defect against ``RESIDUAL_TOLERANCE``:
 
         mu_z[phi] = g(z) * mu_z[psi],      E_z[psi] = (1/g(z)) * E_z[phi].
 
@@ -506,20 +477,12 @@ def compare_projective(
         raise PartitionMismatchError("decompositions disagree on the invariant partition")
 
     ratio = dec_psi.index_weights / dec_phi.index_weights
-    measure_defect = 0.0
-    form_defect = 0.0
-    for g, m_phi, m_psi, f_phi, f_psi in zip(
-        ratio,
-        dec_phi.lifted_measures,
-        dec_psi.lifted_measures,
-        dec_phi.lifted_forms,
-        dec_psi.lifted_forms,
-    ):
-        measure_defect = max(measure_defect, float(np.abs(m_phi - g * m_psi).max()))
-        form_defect = max(
-            form_defect, float(np.abs(f_psi.matrix - f_phi.matrix / g).max())
-        )
-    return ProjectiveComparison(ratio, measure_defect, form_defect)
+    lifted = zip(ratio, dec_phi.lifted_measures, dec_psi.lifted_measures,
+                 dec_phi.lifted_forms, dec_psi.lifted_forms)
+    defects = np.array([(np.abs(m_phi - g * m_psi).max(), np.abs(f_psi.matrix - f_phi.matrix / g).max())
+                        for g, m_phi, m_psi, f_phi, f_psi in lifted]).max(axis=0)
+    return ProjectiveComparison(ratio, tuple(Residual(name, float(d), RESIDUAL_TOLERANCE)
+                                             for name, d in zip(("measure", "form"), defects)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -610,7 +573,8 @@ def decompose_invariant_measure(
     Raises
     ------
     NotInvariantError
-        If the invariance defect exceeds ``tol`` times max eta; carries the defect.
+        If the invariance defect, max |T_1^T eta - eta|, exceeds ``tol`` times max eta;
+        carries the defect.
     """
     eta = np.asarray(eta, dtype=float)
     if eta.shape != (form.n,):
@@ -618,10 +582,10 @@ def decompose_invariant_measure(
     if np.any(eta < 0):
         raise ValueError("measure weights must be nonnegative")
     ergodic, layout = _ergodic_measures(form), form._layout
-    defect = _worst(np.concatenate([_stationarity_defects(eig, eta[p])
-                                    for (_, p), eig in zip(layout.stacks, form._block_eigs)]))
-    if defect > tol * float(eta.max(initial=0.0)):
-        raise NotInvariantError(defect)
+    defects = [_stationarity_defects(eig, eta[p]) for (_, p), eig in zip(layout.stacks, form._block_eigs)]
+    invariance = Residual("invariance", float(np.max(np.concatenate(defects))), tol * float(eta.max()))
+    if not invariance.passed:
+        raise NotInvariantError(invariance.value)
 
     measures = tuple(m for _, m in ergodic)
     weights = np.array([float(eta[layout.blocks[b]].sum()) for b, _ in ergodic])

@@ -31,7 +31,7 @@ from ._linalg import (
     semigroup_from_eig,
     symmetrized_eig,
 )
-from ._tolerance import SYMMETRY_RTOL, TAU
+from ._tolerance import SYMMETRY_RTOL, TAU, Residual
 from ._validation import (
     _asymmetry,
     _check_finite,
@@ -39,6 +39,7 @@ from ._validation import (
     _jump,
     _killing,
     _matrix_scale,
+    _symmetrize,
     _symmetrized,
     _validated,
     is_markovian,
@@ -108,6 +109,7 @@ class DirichletForm:
             raise ValueError("energy matrix must be symmetric")
         _check_finite(raw)
         matrix = _symmetrized(raw)
+        _check_finite(matrix)  # an entry past float max / 2 that the symmetrization doubled
         killing, bounds = _validated(matrix, raw, self.space)
         matrix.flags.writeable = False
         killing.flags.writeable = False
@@ -122,17 +124,24 @@ class DirichletForm:
 
     @classmethod
     def _from_symmetrized(cls, space: FiniteMeasureSpace, matrix) -> "DirichletForm":
-        """The form of ``matrix`` = 0.5 (A + A^T), validated in place: it becomes the form's matrix.
+        """The form of a bitwise symmetric ``matrix``, validated in place: it becomes the form's matrix.
 
-        The result is that of the constructor on ``matrix``.  Its checks of
-        symmetry and its symmetrizations are bitwise no-ops here: mirror
-        entries are one sum, and each entry is at most float max / 2 or not
-        finite, so only a matrix of that sum may be given.
+        Off the diagonal each entry is at most float max / 2 or not finite,
+        as in 0.5 (A + A^T) or a symmetrized kernel, so the constructor's
+        symmetry check and symmetrization are bitwise no-ops there, and the
+        result is the constructor's.  A diagonal entry past float max / 2, a
+        row sum of a kernel, is validated as the inf that symmetrization
+        makes of it, against one copy of the matrix, where the constructor
+        refuses it as not finite.
         """
         if matrix.shape != (space.n, space.n):
             raise ValueError("matrix shape does not match the space")
         _check_finite(matrix)
-        return cls._unchecked(space, matrix, *_validated(matrix, matrix, space))
+        raw = matrix
+        if (np.abs(np.diagonal(matrix)) > _HALF_MAX).any():
+            raw = matrix.copy()
+            _symmetrize(matrix)
+        return cls._unchecked(space, matrix, *_validated(matrix, raw, space))
 
     @classmethod
     def _unchecked(cls, space: FiniteMeasureSpace, matrix, killing=None, bounds=None) -> "DirichletForm":
@@ -183,13 +192,13 @@ class DirichletForm:
     def _from_symmetric_kernel(cls, space: FiniteMeasureSpace, jump, killing=None) -> "DirichletForm":
         """The form of a bitwise symmetric kernel, written in place over ``jump``.
 
-        The form takes ``jump`` over as its matrix, so a certified kernel
-        costs no second n x n array.  The certificate is that of
+        The form takes ``jump`` over as its matrix, so a kernel costs no
+        second n x n array.  The certificate is that of
         :meth:`from_jump_kernel`, with every kernel entry at most float
         max / 2: a larger one overflows when :meth:`from_jump_kernel`
-        symmetrizes it.  Uncertified input is symmetrized as there and goes
-        through the constructor, so it meets the same errors.  The diagonal
-        is written after ``0 - jump``, so the matrix equals
+        symmetrizes it.  Uncertified input is symmetrized again as there, in
+        place, and validated by :meth:`_from_symmetrized`.  The diagonal is
+        written after ``0 - jump``, so the matrix equals
         ``np.diag(diag) - jump`` bitwise, zeros included.
         """
         np.fill_diagonal(jump, 0.0)  # a kernel carries no diagonal
@@ -204,12 +213,13 @@ class DirichletForm:
             and np.isfinite(diag).all()
         )
         if not certified:
+            _symmetrize(jump)  # bitwise the input, but inf past float max / 2
             with np.errstate(over="ignore", invalid="ignore"):
-                jump = 0.5 * (jump + jump.T)  # bitwise the input, but inf past float max / 2
                 diag = jump.sum(axis=1) + killing
-            return cls(space, np.diag(diag) - jump)
         matrix = np.subtract(0.0, jump, out=jump)  # 0 - 0 is +0.0, as np.diag(diag) - jump gives
         np.fill_diagonal(matrix, diag)
+        if not certified:
+            return cls._from_symmetrized(space, matrix)
         _check_range(matrix, space)
         return cls._unchecked(space, matrix)
 
@@ -375,19 +385,6 @@ def carre_du_champ(form: DirichletForm) -> CarreDuChamp:
     return CarreDuChamp(form)
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
-    """Defects of the four invariance criteria for one candidate subset.
-
-    ``tolerance`` is the threshold of the verdict on the energy splitting,
-    ``COMPONENT_THRESHOLD`` times the largest jump weight.
-    """
-
-    defects: Mapping[str, float]
-    tolerance: float
-    invariant: bool
-
-
 def is_invariant(form: DirichletForm, subset: Iterable):
     """Test invariance of a point subset under the dynamics of a form.
 
@@ -395,11 +392,12 @@ def is_invariant(form: DirichletForm, subset: Iterable):
     semigroup with multiplication by the indicator (t in {0.3, 1}), leakage
     of the semigroup and of the resolvent (alpha in {1, 5}) out of the
     subset, and splitting of the energy across the subset and its
-    complement.  The energy splitting decides, with the threshold of
-    :func:`invariant_sets`: the subset is invariant when no jump weight
-    across its boundary exceeds ``COMPONENT_THRESHOLD`` times the largest
-    one, so every block of :func:`invariant_sets` and every union of blocks
-    is invariant.  The verdict is returned with the per-criterion defects.
+    complement.  The verdict is returned with one residual per criterion,
+    each against the threshold of :func:`invariant_sets`,
+    ``COMPONENT_THRESHOLD`` times the largest jump weight.  The energy
+    splitting decides: its residual is the largest jump weight across the
+    boundary, so every block of :func:`invariant_sets` and every union of
+    blocks is invariant.
 
     An invariant verdict is checked against the dynamics: the generator
     differs from its split over the subset by the entries C across the
@@ -433,10 +431,11 @@ def is_invariant(form: DirichletForm, subset: Iterable):
         "semigroup_commutation": leakage,
         "semigroup_leakage": leakage,
         "resolvent_leakage": max(off_block(g) for g in gs),
-        "energy_splitting": off_block(q),
+        "energy_splitting": 0.0 - float(q[out].min(initial=0.0)),  # +0.0 when no jump crosses
     }
     threshold = COMPONENT_THRESHOLD * _largest_jump(q)
-    invariant = -float(q[out].min(initial=0.0)) <= threshold
+    residuals = tuple(Residual(name, value, threshold) for name, value in defects.items())
+    invariant = residuals[-1].passed
     if invariant and proper:
         sqrt_mu = np.sqrt(form.space.mu)
         inside, outside = sqrt_mu[mask][:, None], sqrt_mu[~mask][None, :]
@@ -454,7 +453,7 @@ def is_invariant(form: DirichletForm, subset: Iterable):
                     f"subset exceeds its bound {bound:.3e}",
                     defects,
                 )
-    return invariant, InvarianceReport(defects, threshold, invariant)
+    return invariant, residuals
 
 
 def invariant_sets(form: DirichletForm) -> tuple:

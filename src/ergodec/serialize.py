@@ -10,6 +10,7 @@ Field names are part of the interface and fixed:
 * decomposition:   ``{"scale": ..., "nu": {...}, "fibers": {z: {"support": [...],
                    "mu": [...], "edges": [...], "killing": [...], "class": {...}}},
                    "residuals": {...}}``
+* residuals:       ``{name: value}``, or ``{name: {parameter: value}}``
 
 Dictionaries are emitted in deterministic order (index label order), so a
 fixed input always serializes to identical bytes.  A form document that does
@@ -243,10 +244,17 @@ def decomposition_report(
         "scale": float(dec.normalization_scale),
         "nu": {str(z): float(dec.quotient.index.weight(z)) for z in dec.labels},
         "fibers": fibers,
-        "residuals": {
-            "form": verification.form_defect,
-            "semigroup": {str(t): v for t, v in verification.semigroup_defects.items()},
-            "resolvent": {str(a): v for a, v in verification.resolvent_defects.items()},
-            "isometry": verification.isometry_defect,
-        },
+        "residuals": residuals_to_json(verification.residuals),
     }
+
+
+def residuals_to_json(residuals) -> dict:
+    """The values of residuals by name; ``("semigroup", 0.1)`` gives ``{"semigroup": {"0.1": value}}``."""
+    out = {}
+    for r in residuals:
+        if isinstance(r.name, tuple):
+            key, parameter = r.name
+            out.setdefault(key, {})[str(parameter)] = r.value
+        else:
+            out[r.name] = r.value
+    return out

@@ -275,6 +275,14 @@ def reference_is_markovian(matrix, space):
     return True, (jump, np.maximum(q.sum(axis=-1), 0.0))
 
 
+def residual_values(residuals, family=None) -> dict:
+    """{name: value} of residuals, or with ``family`` {parameter: value} of the names
+    ``(family, parameter)``."""
+    if family is None:
+        return {r.name: r.value for r in residuals}
+    return {r.name[1]: r.value for r in residuals if isinstance(r.name, tuple) and r.name[0] == family}
+
+
 def reference_dense_form(space, matrix, *, symmetrize=True):
     """The (matrix, killing) of ``DirichletForm.from_matrix``, or of the constructor when not
     ``symmetrize``, validated out of place: a copy of the input, the asymmetry ``a - a.T``,
@@ -294,7 +302,8 @@ def reference_dense_form(space, matrix, *, symmetrize=True):
         scale = _matrix_scale(a)
         if np.abs(a - a.T).max() > SYMMETRY_RTOL * scale:
             raise ValueError("energy matrix must be symmetric")
-        ok, payload = reference_is_markovian(a, space)
+        # A finite input whose symmetrization overflows is refused as that symmetrization.
+        ok, payload = reference_is_markovian(0.5 * (a + a.T) if np.isfinite(a).all() else a, space)
         if not ok:
             raise NotMarkovianError(witness=payload)
         jump, killing = payload

@@ -41,6 +41,8 @@ from ergodec import (
 )
 from ergodec._linalg import chebyshev_coefficients, chebyshev_matrix, polynomial_matrix
 
+from conftest import residual_values
+
 
 def _report(number, name, ok, detail=""):
     print(f"[criterion {number:02d}] {name}: {'PASS' if ok else 'FAIL'} {detail}".rstrip())
@@ -188,8 +190,8 @@ def test_criterion_04_semigroup_resolvent_decomposition(large_instances):
     worst_res = 0.0
     for _, dec in large_instances:
         report = verify_decomposition(dec)
-        worst_semi = max(worst_semi, max(report.semigroup_defects.values()))
-        worst_res = max(worst_res, max(report.resolvent_defects.values()))
+        worst_semi = max(worst_semi, *residual_values(report.residuals, "semigroup").values())
+        worst_res = max(worst_res, *residual_values(report.residuals, "resolvent").values())
     _report(
         4,
         "semigroup/resolvent blockwise decomposition",
@@ -250,8 +252,8 @@ def test_criterion_07_carre_du_champ(large_instances, fx_all):
             rhs = 2.0 * float(np.dot(h * gamma(f, g), mu))
             worst_product = max(worst_product, abs(lhs - rhs))
         dec = decompose(form)
-        _, report = carre_decomposition(dec, rng=rng)
-        worst_restriction = max(worst_restriction, report.restriction_defect)
+        _, residuals = carre_decomposition(dec, rng=rng)
+        worst_restriction = max(worst_restriction, residual_values(residuals)["restriction"])
         for z in dec.labels:
             idx = dec.quotient.block_indices(z)
             ind = np.zeros(form.n)
@@ -294,7 +296,7 @@ def test_criterion_08_girsanov_projective(fx_twin):
         cp = compare_projective(
             decompose_weighted(form, phi), decompose_weighted(form, psi_r)
         )
-        worst = max(worst, cp.defect)
+        worst = max(worst, *residual_values(cp.residuals).values())
     ok &= worst <= 1e-10
     _report(8, "reweighted decomposition and projective uniqueness", ok, f"(worst={worst:.2e})")
 
@@ -304,7 +306,7 @@ def test_criterion_09_lp_isometries(fx_twin):
     ok = True
     for p in (1, 2, 4):
         report = assemble_lp(fx_twin.space, family, p)
-        ok &= report.norm_defect <= 1e-12 and report.lattice_exact
+        ok &= report.residuals[0].value <= 1e-12 and report.lattice_exact
 
     rng = np.random.default_rng(9)
     for seed in range(50):
@@ -312,7 +314,7 @@ def test_criterion_09_lp_isometries(fx_twin):
         dec = decompose(form)
         for p in (1, 2, 4):
             report = assemble_lp(dec.quotient.space, dec.family, p, rng=rng)
-            ok &= report.norm_defect <= 1e-12 and report.lattice_exact
+            ok &= report.residuals[0].value <= 1e-12 and report.lattice_exact
 
     # Non-separated one-point example: isometric but rank-deficient.
     space = validate_space([("*", 2.0)])

@@ -235,6 +235,52 @@ def test_text_format(tmp_path, fx_twin, capsys):
     assert "nu:" in out and "z0: 0.5" in out
 
 
+def test_verify_text_names_the_worst_residual(tmp_path, fx_grid, capsys):
+    path = write_form(tmp_path, fx_grid)
+    assert main(["verify", "--input", path, "--tolerance", "1e-300"]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert main(["verify", "--input", path, "--tolerance", "1e-300", "--format", "text"]) == 3
+    *_, passed, last = capsys.readouterr().out.splitlines()
+    residuals = report["residuals"]
+    named = {"form": residuals["form"],
+             **{f"{key} {t}": v for key in ("semigroup", "resolvent") for t, v in residuals[key].items()},
+             "isometry": residuals["isometry"]}
+    # Each share is 0 or value / 1e-300; the first largest is named.
+    name, value = max(named.items(), key=lambda item: item[1] and item[1] / 1e-300)
+    assert passed == "passed: False"
+    assert last == f"worst: {name} = {value:.12g}, {value / 1e-300:.3g} of its tolerance 1e-300"
+
+
+def _printed_residuals(command, report) -> list:
+    if command in ("decompose", "verify"):
+        r = report["residuals"]
+        return [r["form"], *r["semigroup"].values(), *r["resolvent"].values(), r["isometry"]]
+    if command == "girsanov":
+        return [report["identity_defect"]]
+    return [report["superposition_defect"], report["isomorphism_defect"]]
+
+
+@pytest.mark.parametrize("command", ["decompose", "verify", "girsanov", "superpose"])
+def test_the_largest_printed_residual_is_the_pass_boundary(tmp_path, command):
+    # The golden single-block instance: killing-free, and every command prints a positive residual.
+    path, out = str(tmp_path / "form.json"), tmp_path / "report.json"
+    assert main(["gen", "--seed", "2", "--n", "25", "--components", "1", "--out", path]) == 0
+
+    def run(*flags):
+        phi = ["--phi", "random"] if command == "girsanov" else []
+        code = main([command, "--input", path, "--out", str(out), *phi, *flags])
+        return code, out.read_bytes()
+
+    code, report = run()
+    assert code == 0
+    largest = max(_printed_residuals(command, json.loads(report)))
+    assert largest > 0
+    failed = report.replace(b'"passed": true', b'"passed": false')  # verify reports the verdict
+    assert run("--tolerance", repr(largest)) == (0, report)
+    assert run("--tolerance", repr(float(np.nextafter(largest, 0.0)))) == (3, failed)
+    assert run("--tolerance", "0") == (3, failed)
+
+
 def test_module_entry_point(tmp_path, fx_twin):
     path = write_form(tmp_path, fx_twin)
     proc = subprocess.run(

@@ -8,6 +8,7 @@ from ergodec import (
     DirichletForm,
     NonFiniteError,
     NotMarkovianError,
+    NotPSDError,
     classification_decomposition,
     decompose,
     decompose_operator,
@@ -225,6 +226,36 @@ def test_dense_form_from_json_holds_one_n_by_n_array(kind):
         except NotMarkovianError:
             pass
         assert matrix.tobytes() == before
+
+
+def test_uncertified_edge_document_holds_one_n_by_n_array():
+    # A negative weight fails the jump-kernel certificate: the edge matrix is
+    # symmetrized and validated in place, with the validating constructor's error.
+    from conftest import validated_jump_kernel_form
+
+    n = 400
+    form = random_form(1, n, 8, 0.1, 0.05)
+    obj = json.loads(json.dumps(form_to_json(form)))
+    obj["edges"][0][2] = -obj["edges"][0][2]
+    x, y = (form.space.index_of(p) for p in obj["edges"][0][:2])
+    jump = np.array(form.jump)
+    jump[x, y] = jump[y, x] = obj["edges"][0][2]
+
+    def load():
+        with pytest.raises(NotPSDError) as info:
+            form_from_json(obj)
+        return str(info.value)
+
+    with pytest.raises(NotPSDError) as expected:
+        validated_jump_kernel_form(form.space, jump, form.killing)
+    assert load() == str(expected.value)  # one-off allocations of a first call stay out
+    tracemalloc.start()
+    try:
+        load()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * 8 * n * n
 
 
 def test_form_from_json_holds_one_n_by_n_array():

@@ -20,6 +20,7 @@ from ergodec import (
     quotient_by_invariant_partition,
     validate_space,
     verify_pseudo_disintegration,
+    worst,
 )
 
 
@@ -65,9 +66,9 @@ def test_disintegrate_twin(fx_twin):
     assert family.fibers["z0"].support == ("a", "b")
     assert np.allclose(family.fibers["z0"].weights, [0.5, 0.5])
     # strong consistency and exactness
-    report = verify_pseudo_disintegration(fx_twin.space, family)
-    assert report.max_point_defect == 0.0
-    assert report.passed
+    point, integral = verify_pseudo_disintegration(fx_twin.space, family)
+    assert point.value == 0.0
+    assert point.passed and integral.passed
 
 
 def test_disintegrate_single_block(fx_edge):
@@ -121,9 +122,9 @@ def test_perturbed_family_defect(fx_twin):
             "z1": Fiber(("c", "d", "a"), np.array([0.5, 0.5, 0.1])),
         },
     )
-    report = verify_pseudo_disintegration(fx_twin.space, bad)
-    assert report.max_point_defect == pytest.approx(0.05, abs=1e-15)
-    assert not report.passed
+    residuals = verify_pseudo_disintegration(fx_twin.space, bad)
+    assert residuals[0].name == "point" and residuals[0].value == pytest.approx(0.05, abs=1e-15)
+    assert not worst(residuals).passed
     separated, witness = is_separated(bad)
     assert not separated and witness == "a"
 
@@ -136,9 +137,9 @@ def test_two_copies_of_a_point_family():
     family = MeasureFamily(
         index, {0: Fiber(("*",), [1.0]), 1: Fiber(("*",), [1.0])}
     )
-    report = verify_pseudo_disintegration(space, family)
-    assert report.max_point_defect == 0.0
-    assert report.passed
+    residuals = verify_pseudo_disintegration(space, family)
+    assert residuals[0].value == 0.0
+    assert worst(residuals).passed
     separated, witness = is_separated(family)
     assert not separated and witness == "*"
 
