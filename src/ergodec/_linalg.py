@@ -113,6 +113,11 @@ class StackedLayout:
                                             else weights[members][:, None, None] * stack)
         return out
 
+    def sums(self, values: np.ndarray) -> np.ndarray:
+        """The sum of ``values`` over each block, in layout order: a stack's rows are summed
+        along their contiguous axis, each with the bits of ``values[idx].sum()``."""
+        return self.blockwise([values[p].sum(axis=-1) for _, p in self.stacks])
+
     def blockwise(self, values) -> np.ndarray:
         """One value per block, in layout order, from the (k, ...) arrays of the stacks."""
         out = np.empty((self.count, *values[0].shape[1:]), dtype=values[0].dtype)

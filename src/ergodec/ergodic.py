@@ -45,16 +45,10 @@ from .forms import (
     carre_du_champ,
     classify,
     girsanov_transform,
-    invariant_sets,
     resolvent,
     semigroup,
 )
-from .spaces import (
-    FiniteMeasureSpace,
-    MeasureFamily,
-    QuotientMap,
-    disintegrate_over_partition,
-)
+from .spaces import FiniteMeasureSpace, MeasureFamily, QuotientMap
 
 
 def _max_abs_difference(out: np.ndarray, other: np.ndarray) -> float:
@@ -124,8 +118,8 @@ class ErgodicDecomposition:
 
     @cached_property
     def _fiber_stacks(self) -> tuple:
-        """``(matrices, mu)`` of the fibers per stack of the form's layout, whose blocks are the
-        quotient's in the same order; a stack of one is a view."""
+        """``(matrices, mu)`` of the fibers per stack of the form's layout, which is the
+        quotient's; a stack of one is a view."""
         layout = self.form._layout
         return tuple(zip(layout.stack([f.matrix for f in self.fibers]),
                          layout.stack([f.space.mu for f in self.fibers])))
@@ -185,8 +179,8 @@ def _representable(form: DirichletForm) -> tuple:
     """
     normalized = form.space.normalized()
     tiny = np.finfo(float).tiny
-    points, layout, mu = form.space.points, form._layout, form.space.mu
-    masses = layout.blockwise([mu[p].sum(axis=-1) for _, p in layout.stacks])
+    points, layout = form.space.points, form._layout
+    masses = layout.sums(form.space.mu)
     block_mass = masses[layout.block_of]
     lost = _killed(form) & (form.killing > 0) & (form.killing / block_mass < tiny)
     if lost.any():
@@ -236,8 +230,8 @@ def decompose(form: DirichletForm) -> ErgodicDecomposition:
     :class:`NotRepresentableError`.
     """
     normalized, masses = _representable(form)
-    qmap, family = disintegrate_over_partition(normalized, invariant_sets(form))
-    spaces, fibers = family.fiber_spaces(), [None] * len(masses)
+    qmap = QuotientMap._of_layout(normalized, form._layout)
+    spaces, fibers = qmap.family.fiber_spaces(), [None] * len(masses)
     for members, positions in form._layout.stacks:
         stack = _split_blocks(form.matrix, positions, form._dropped, masses[members])
         bounds = [None] * len(stack) if form._bounds is None else _row_bounds(stack)
@@ -517,12 +511,12 @@ def ergodic_measures(form: DirichletForm) -> tuple:
 
 def _ergodic_measures(form: DirichletForm) -> tuple:
     """The measures of :func:`ergodic_measures`, each after the layout number of its block."""
-    _representable(form)
+    _, masses = _representable(form)
     classes = tuple(classify(form).per_component.values())
     mu, slack, layout = form.space.mu, TAU * (1.0 + _generator_scale(form)), form._layout
     normalized, defects = np.zeros(form.n), np.zeros(layout.count)
     for (members, positions), eig in zip(layout.stacks, form._block_eigs):
-        w = mu[positions] / mu[positions].sum(axis=-1, keepdims=True)
+        w = mu[positions] / masses[members][:, None]
         normalized[positions] = w
         defects[members] = _stationarity_defects(eig, w)
     out = []
@@ -588,7 +582,7 @@ def decompose_invariant_measure(
         raise NotInvariantError(invariance.value)
 
     measures = tuple(m for _, m in ergodic)
-    weights = np.array([float(eta[layout.blocks[b]].sum()) for b, _ in ergodic])
+    weights = layout.sums(eta)[[b for b, _ in ergodic]]
     mixture = InvariantMeasureMixture(measures, weights, 0.0)
     rec = mixture.reconstructed() if measures else np.zeros(form.n)
     object.__setattr__(mixture, "reconstruction_defect", float(np.abs(rec - eta).max()))

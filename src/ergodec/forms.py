@@ -130,18 +130,16 @@ class DirichletForm:
         as in 0.5 (A + A^T) or a symmetrized kernel, so the constructor's
         symmetry check and symmetrization are bitwise no-ops there, and the
         result is the constructor's.  A diagonal entry past float max / 2, a
-        row sum of a kernel, is validated as the inf that symmetrization
-        makes of it, against one copy of the matrix, where the constructor
-        refuses it as not finite.
+        row sum of a kernel, is refused as the constructor refuses it: the
+        matrix is symmetrized in place, which makes that entry inf, and the
+        first entry that is not finite is named.
         """
         if matrix.shape != (space.n, space.n):
             raise ValueError("matrix shape does not match the space")
         _check_finite(matrix)
-        raw = matrix
         if (np.abs(np.diagonal(matrix)) > _HALF_MAX).any():
-            raw = matrix.copy()
-            _symmetrize(matrix)
-        return cls._unchecked(space, matrix, *_validated(matrix, raw, space))
+            _check_finite(_symmetrize(matrix))
+        return cls._unchecked(space, matrix, *_validated(matrix, matrix, space))
 
     @classmethod
     def _unchecked(cls, space: FiniteMeasureSpace, matrix, killing=None, bounds=None) -> "DirichletForm":

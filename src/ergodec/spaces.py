@@ -262,27 +262,34 @@ class QuotientMap:
         object.__setattr__(self, "assignment", assignment)
         if set(assignment) != set(self.space.points):
             raise NotAPartitionError("assignment must cover exactly the points of the space")
-        labels = self.index._positions
-        for x, z in assignment.items():
-            try:
-                known = z in labels
-            except TypeError:  # unhashable, so no label
-                known = False
-            if not known:
-                raise NotAPartitionError(f"point {x!r} is assigned to {z!r}, which is not an index label")
         members = {z: [] for z in self.index.labels}
         for i, x in enumerate(self.space.points):
-            members[assignment[x]].append(i)
+            try:
+                members[assignment[x]].append(i)
+            except (KeyError, TypeError):  # not a label, or unhashable, so no label
+                raise NotAPartitionError(
+                    f"point {x!r} is assigned to {assignment[x]!r}, which is not an index label") from None
         for z, idx in members.items():
             if not idx:
                 raise NotAPartitionError(f"index label {z!r} has no points")
         object.__setattr__(self, "_layout", StackedLayout(members.values()))  # in index label order
-        for z, idx, nu in zip(self.index.labels, self._layout.blocks, self.index.nu):
-            mass = float(self.space.mu[idx].sum())
+        masses = self._layout.sums(self.space.mu)
+        for z, nu, mass in zip(self.index.labels, self.index.nu.tolist(), masses.tolist()):
             if abs(nu - mass) > TAU * mass:
-                raise NotPushforwardError(
-                    f"index weight {float(nu)!r} of {z!r} is not the mass {mass!r} of its block"
-                )
+                raise NotPushforwardError(f"index weight {nu!r} of {z!r} is not the mass {mass!r} of its block")
+
+    @classmethod
+    def _of_layout(cls, space: FiniteMeasureSpace, layout: StackedLayout) -> "QuotientMap":
+        """The quotient onto the blocks of a layout that covers the points, labelled ``z0, z1,
+        ...`` in layout order, whose weights are the block masses; ``layout`` is kept unchecked."""
+        labels = tuple(f"z{b}" for b in range(layout.count))
+        assignment = dict(zip(space.points, (labels[b] for b in layout.block_of.tolist())))
+        qmap = object.__new__(cls)
+        object.__setattr__(qmap, "space", space)
+        object.__setattr__(qmap, "assignment", assignment)
+        object.__setattr__(qmap, "index", IndexSpace(labels, layout.sums(space.mu)))
+        object.__setattr__(qmap, "_layout", layout)
+        return qmap
 
     @cached_property
     def blocks(self) -> dict:
@@ -335,11 +342,7 @@ def quotient_by_invariant_partition(
     point position and labelled ``z0, z1, ...``, so repeated runs produce
     byte-identical reports.
     """
-    blocks = _canonical_blocks(space, partition)
-    labels = tuple(f"z{i}" for i in range(len(blocks)))
-    nu = [float(space.mu[b].sum()) for b in blocks]
-    assignment = {space.points[i]: z for z, b in zip(labels, blocks) for i in b}
-    return QuotientMap(space, assignment, IndexSpace(labels, nu))
+    return QuotientMap._of_layout(space, StackedLayout(_canonical_blocks(space, partition)))
 
 
 def disintegrate_over_partition(

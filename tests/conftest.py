@@ -17,6 +17,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from ergodec import DirichletForm, FiniteMeasureSpace, validate_space
 
@@ -380,6 +381,29 @@ def reference_random_form(seed, n, components, killing_prob=0.0, density=0.5, *,
 
     space = FiniteMeasureSpace(tuple(f"p{i}" for i in range(n)), mu)
     return DirichletForm.from_jump_kernel(space, jump, killing)
+
+
+# ---------------------------------------------------------------- strategies
+
+
+@st.composite
+def partition_forms(draw):
+    """Forms on up to 12 points with weights on both sides of ``COMPONENT_THRESHOLD``."""
+    n = draw(st.integers(1, 12))
+    scale = draw(st.sampled_from([1.0, 1e-200, 1e200]))
+    relative = st.sampled_from([0.0, 0.0, 0.0, -0.0, 1.0, 0.3, 1.001e-12, 1e-12, 0.999e-12, 1e-14])
+    upper = draw(st.lists(relative, min_size=n * n, max_size=n * n))
+    jump = np.triu(np.array(upper).reshape(n, n), 1)
+    jump = (jump + jump.T) * scale
+    perm = draw(st.permutations(range(n)))
+    jump = jump[np.ix_(perm, perm)]
+    killing = draw(st.lists(st.sampled_from([0.0, scale]), min_size=n, max_size=n))
+    space = validate_space([(f"p{i}", 1.0) for i in range(n)])
+    with np.errstate(all="ignore"):
+        form = DirichletForm.from_jump_kernel(space, jump, killing)
+        if draw(st.booleans()):
+            form = DirichletForm(space, np.array(form.matrix))  # the validating constructor
+    return form
 
 
 # ---------------------------------------------------------------- fixtures

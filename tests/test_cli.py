@@ -883,7 +883,7 @@ OVERFLOW_DOCUMENTS = {
     "edges-killing-above-half-max": (
         {"space": {"points": ["p0", "p1"], "mu": [1e-300, 1e300]},
          "edges": [["p0", "p0", 1e-320]], "killing": [-1.0, 9e307]},
-        "error: matrix is not positive semidefinite: A(x, x) = -1.000e+00 < 0 at point 'p0'\n",
+        "error: matrix entry (1, 1) is not finite\n",
     ),
     "matrix-entry-above-half-max": (
         {"space": {"points": ["p0", "p1"], "mu": [1.0, 1.0]}, "matrix": [[1.0, 0.0], [0.0, 1e308]]},
@@ -1025,14 +1025,19 @@ def test_classify_reads_its_edges_without_a_form_document(
 def test_decompose_computes_each_invariant_partition_once(tmp_path, monkeypatch, capsys):
     import ergodec.ergodic
     import ergodec.forms
+    import ergodec.spaces
 
     from ergodec import random_form
 
     path = write_form(tmp_path, random_form(5, 40, 1))
     forms = spy(monkeypatch, ergodec.forms, "_jump_components", id)
     fibers = spy(monkeypatch, ergodec.ergodic, "_irreducible", lambda stack: stack.shape)
+    labelled = spy(monkeypatch, ergodec.spaces, "_canonical_blocks", id)
+    checked = spy(monkeypatch, ergodec.spaces.QuotientMap, "__post_init__", id)
     assert main(["decompose", "--input", path]) == 0
     # The global form is searched once, and its one fiber once, as a stack of one.
     assert len(forms) == 1
     assert fibers == [(1, 40, 40)]
+    # The quotient is the form's layout: its blocks are not read back from labels or checked again.
+    assert labelled == checked == []
     capsys.readouterr()

@@ -28,7 +28,7 @@ from ergodec import (
     worst,
 )
 
-from conftest import brute_force_invariant_partition, residual_values, spy
+from conftest import brute_force_invariant_partition, partition_forms, residual_values, spy
 
 
 # ------------------------------------------------------------ decompose
@@ -428,9 +428,52 @@ def test_trusted_fibers_equal_validated_fibers(form):
 @pytest.mark.parametrize("form", [random_form(2, 20, 1), *multi_block_forms()])
 def test_the_quotient_and_the_form_share_their_blocks(form):
     dec = decompose(form)
-    quotient, blocks = dec.quotient._layout, dec.form._layout.blocks
-    assert quotient.count == len(blocks) == len(dec.fibers)
-    assert all(np.array_equal(q, b) for q, b in zip(quotient.blocks, blocks))
+    assert dec.quotient._layout is dec.form._layout
+    assert dec.quotient._layout.count == len(dec.fibers)
+
+
+def assert_quotient_of_the_invariant_sets(form):
+    """``decompose(form).quotient`` is the quotient of the labelled invariant sets, bit for bit;
+    its weights are the sums of the normalized weights over each block, taken one at a time."""
+    from ergodec.spaces import quotient_by_invariant_partition
+
+    got = decompose(form).quotient
+    normalized = form.space.normalized()
+    expected = quotient_by_invariant_partition(normalized, invariant_sets(form))
+    masses = np.array([normalized.mu[normalized.indices_of(block)].sum() for block in invariant_sets(form)])
+    assert got.index.labels == expected.index.labels
+    assert got.assignment == expected.assignment
+    assert got.blocks == expected.blocks
+    assert got.index.nu.tobytes() == expected.index.nu.tobytes() == masses.tobytes()
+    for z in got.index.labels:
+        fiber, other = got.family.fibers[z], expected.family.fibers[z]
+        assert fiber.support == other.support
+        assert fiber.weights.tobytes() == other.weights.tobytes()
+
+
+@pytest.mark.parametrize("name", ["fx_edge", "fx_twin", "fx_kill", "fx_grid", "fx_twin_kill"])
+def test_decompose_quotient_is_that_of_the_invariant_sets(request, name):
+    assert_quotient_of_the_invariant_sets(request.getfixturevalue(name))
+
+
+@settings(max_examples=200, deadline=None)
+@given(partition_forms())
+def test_decompose_quotient_is_that_of_the_invariant_sets_on_random_partitions(form):
+    assert_quotient_of_the_invariant_sets(form)
+
+
+def test_decompose_reads_the_form_layout(monkeypatch):
+    # The quotient is built from the form's layout: no labels of the invariant sets are
+    # turned back into positions, and no block mass is checked again.
+    import ergodec.forms
+    import ergodec.spaces
+
+    form = random_form(3, 60, 12, 0.2)
+    calls = [spy(monkeypatch, ergodec.forms, "invariant_sets", id),
+             spy(monkeypatch, ergodec.spaces, "_canonical_blocks", id),
+             spy(monkeypatch, ergodec.spaces.QuotientMap, "__post_init__", id)]
+    decompose(form)
+    assert calls == [[], [], []]
 
 
 @pytest.mark.parametrize("form", multi_block_forms())
@@ -966,6 +1009,21 @@ def test_stacked_block_algebra_equals_per_block_calls(form):
                 assert same(block_actions[tr][j], semigroup_action(block, 1.0, x[idx], transpose=tr))
                 assert same(fiber_actions[tr][j], semigroup_action(own, 1.0, x[idx], transpose=tr))
             assert same(ones[j], semigroup_action(block, 1.0, np.ones(len(idx))))
+
+
+def test_stacked_layout_sums_have_the_bits_of_each_block_sum():
+    # Three blocks of each size from 1 to 1000, scattered over the positions, so each stack
+    # holds several rows; the values span many orders of magnitude and both signs.
+    from ergodec._linalg import StackedLayout
+
+    rng = np.random.default_rng(5)
+    sizes = np.repeat(np.arange(1, 1001), 3)
+    positions = np.split(rng.permutation(sizes.sum()), np.cumsum(sizes)[:-1])
+    layout = StackedLayout(positions)
+    values = rng.standard_normal(sizes.sum()) * 10.0 ** rng.integers(-200, 200, sizes.sum())
+    sums = layout.sums(values)
+    assert sums.shape == (layout.count,)
+    assert all(sums[b].tobytes() == values[idx].sum().tobytes() for b, idx in enumerate(layout.blocks))
 
 
 def test_stacked_layout_groups_blocks_by_size():

@@ -34,6 +34,7 @@ from ergodec import (
 from conftest import (
     brute_force_witness,
     contraction_gain,
+    partition_forms,
     random_contraction_search,
     reference_dense_form,
     reference_invariant_sets,
@@ -353,6 +354,9 @@ FALLBACK_INPUTS = {
     "overflowing-edges": ([[0.0, 1.7e308, 1.7e308], [1.7e308, 0.0, 0.0], [1.7e308, 0.0, 0.0]], None),
     "overflowing-row-sum": (overflowing_rows(), None),
     "negative-killing": ([[0.0, 1.0], [1.0, 0.0]], [-1.0, 0.0]),
+    # Finite entries whose row sum, 1e308, passes float max / 2: the diagonal overflows when
+    # the constructor symmetrizes it.
+    "row-sum-past-half-max": ([[0.0, 5e307, 5e307], [5e307, 0.0, -1.0], [5e307, -1.0, 0.0]], None),
 }
 
 
@@ -964,26 +968,6 @@ def test_invariant_sets_complete_graph():
     jump = np.ones((3, 3)) - np.eye(3)
     form = DirichletForm.from_jump_kernel(space, jump)
     assert invariant_sets(form) == (("x", "y", "z"),)
-
-
-@st.composite
-def partition_forms(draw):
-    """Forms on up to 12 points with weights on both sides of ``COMPONENT_THRESHOLD``."""
-    n = draw(st.integers(1, 12))
-    scale = draw(st.sampled_from([1.0, 1e-200, 1e200]))
-    relative = st.sampled_from([0.0, 0.0, 0.0, -0.0, 1.0, 0.3, 1.001e-12, 1e-12, 0.999e-12, 1e-14])
-    upper = draw(st.lists(relative, min_size=n * n, max_size=n * n))
-    jump = np.triu(np.array(upper).reshape(n, n), 1)
-    jump = (jump + jump.T) * scale
-    perm = draw(st.permutations(range(n)))
-    jump = jump[np.ix_(perm, perm)]
-    killing = draw(st.lists(st.sampled_from([0.0, scale]), min_size=n, max_size=n))
-    space = validate_space([(f"p{i}", 1.0) for i in range(n)])
-    with np.errstate(all="ignore"):
-        form = DirichletForm.from_jump_kernel(space, jump, killing)
-        if draw(st.booleans()):
-            form = DirichletForm(space, np.array(form.matrix))  # the validating constructor
-    return form
 
 
 @settings(max_examples=300, deadline=None)

@@ -249,6 +249,8 @@ def test_quotient_layout_matches_blocks(fx_grid):
     ({"a": "x", "b": ["x"]}, [1.0, 1.0], NotAPartitionError, "which is not an index label"),
     ({"a": "x", "b": "x"}, [2.0, 1.0], NotAPartitionError, "index label 'y' has no points"),
     ({"a": "x", "b": "x"}, [5.0], NotPushforwardError, "index weight 5.0 of 'x' is not the mass 2.0"),
+    # Both blocks fail; the first in label order is named, not the block of the first point.
+    ({"a": "y", "b": "x"}, [3.0, 4.0], NotPushforwardError, "index weight 3.0 of 'x' is not the mass 1.0"),
 ])
 def test_quotient_map_rejects_what_is_no_pushforward(assignment, nu, error, message):
     space = validate_space([("a", 1.0), ("b", 1.0)])
