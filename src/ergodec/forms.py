@@ -83,12 +83,14 @@ def _largest_jump(q: np.ndarray) -> float:
 class DirichletForm:
     """A validated Dirichlet energy matrix over a finite measure space.
 
-    Construct through :meth:`from_matrix` or :meth:`from_jump_kernel`; the
-    constructor enforces symmetry, positive semidefiniteness, Markovianity,
-    and that the matrix is rebuilt by its jump/killing data.
+    Construct through :meth:`from_matrix` or :meth:`from_jump_kernel`.  The
+    constructor checks the shape and that the matrix is symmetric within
+    ``SYMMETRY_RTOL``, then validates 0.5 (A + A^T) by
+    :meth:`_from_symmetrized`: finiteness, positive semidefiniteness,
+    Markovianity, and that the jump/killing data rebuild the caller's array.
     :meth:`from_jump_kernel` skips these checks when a one-pass certificate
     on its input proves them (see there); every other input goes through
-    the constructor.
+    :meth:`_from_symmetrized`.
 
     A form stores one n x n array, its matrix, and the killing vector.  The
     jump kernel is derived from the matrix on first access.  A matrix that
@@ -104,18 +106,12 @@ class DirichletForm:
         raw = np.asarray(self.matrix, dtype=float)
         if raw.shape != (self.space.n, self.space.n):
             raise ValueError("matrix shape does not match the space")
-        scale = _matrix_scale(raw)  # not finite unless every entry is, and then no check fails
+        scale = _matrix_scale(raw)  # finite only when every entry is; else _from_symmetrized refuses
         if math.isfinite(scale) and _asymmetry(raw) > SYMMETRY_RTOL * scale:
             raise ValueError("energy matrix must be symmetric")
-        _check_finite(raw)
-        matrix = _symmetrized(raw)
-        _check_finite(matrix)  # an entry past float max / 2 that the symmetrization doubled
-        killing, bounds = _validated(matrix, raw, self.space)
-        matrix.flags.writeable = False
-        killing.flags.writeable = False
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "_killing", killing)
-        object.__setattr__(self, "_bounds", bounds)
+        form = self._from_symmetrized(self.space, _symmetrized(raw), raw)
+        for name in ("matrix", "_killing", "_bounds"):
+            object.__setattr__(self, name, getattr(form, name))
 
     @classmethod
     def from_matrix(cls, space: FiniteMeasureSpace, matrix) -> "DirichletForm":
@@ -123,23 +119,28 @@ class DirichletForm:
         return cls._from_symmetrized(space, _symmetrized(np.asarray(matrix, dtype=float)))
 
     @classmethod
-    def _from_symmetrized(cls, space: FiniteMeasureSpace, matrix) -> "DirichletForm":
+    def _from_symmetrized(cls, space: FiniteMeasureSpace, matrix, raw=None) -> "DirichletForm":
         """The form of a bitwise symmetric ``matrix``, validated in place: it becomes the form's matrix.
 
-        Off the diagonal each entry is at most float max / 2 or not finite,
-        as in 0.5 (A + A^T) or a symmetrized kernel, so the constructor's
-        symmetry check and symmetrization are bitwise no-ops there, and the
-        result is the constructor's.  A diagonal entry past float max / 2, a
-        row sum of a kernel, is refused as the constructor refuses it: the
-        matrix is symmetrized in place, which makes that entry inf, and the
-        first entry that is not finite is named.
+        This is the one validation of a dense matrix.  The constructor passes
+        its caller's array A as ``raw``, and 0.5 (A + A^T) as ``matrix``: the
+        first entry of A that is not finite is named before those of
+        ``matrix``, and the jump/killing data must rebuild A
+        (:func:`_validated`).  Off the diagonal each entry of ``matrix`` is
+        at most float max / 2 or not finite, as in 0.5 (A + A^T) or a
+        symmetrized kernel.  A diagonal entry past float max / 2, a row sum
+        of a kernel, is refused as 0.5 (A + A^T) refuses it: the matrix is
+        symmetrized in place, which makes that entry inf, and the first
+        entry that is not finite is named.
         """
         if matrix.shape != (space.n, space.n):
             raise ValueError("matrix shape does not match the space")
+        if raw is not None:
+            _check_finite(raw)
         _check_finite(matrix)
         if (np.abs(np.diagonal(matrix)) > _HALF_MAX).any():
             _check_finite(_symmetrize(matrix))
-        return cls._unchecked(space, matrix, *_validated(matrix, matrix, space))
+        return cls._unchecked(space, matrix, *_validated(matrix, matrix if raw is None else raw, space))
 
     @classmethod
     def _unchecked(cls, space: FiniteMeasureSpace, matrix, killing=None, bounds=None) -> "DirichletForm":

@@ -1,12 +1,10 @@
-"""JSON wire formats for spaces, families, forms, block operators and reports.
+"""JSON wire formats for spaces, forms and the command reports.
 
 Field names are part of the interface and fixed:
 
 * space:           ``{"points": [...], "mu": [...]}``
-* family:          ``{"nu": {z: w}, "fibers": {z: {"support": [...], "weights": [...]}}}``
 * form:            ``{"space": ..., "edges": [[x, y, w], ...], "killing": [...]}``
                    or ``{"space": ..., "matrix": [[...]]}``
-* block operator:  ``{"nu": {z: w}, "blocks": {z: [[...]]}}``
 * decomposition:   ``{"scale": ..., "nu": {...}, "fibers": {z: {"support": [...],
                    "mu": [...], "edges": [...], "killing": [...], "class": {...}}},
                    "residuals": {...}}``
@@ -28,16 +26,9 @@ import numpy as np
 from .errors import ErgodecError
 from ._validation import _symmetrize
 from .forms import Classification, DirichletForm
-from .spaces import (
-    Fiber,
-    FiniteMeasureSpace,
-    IndexSpace,
-    MeasureFamily,
-    validate_space,
-)
+from .spaces import FiniteMeasureSpace, validate_space
 
 if TYPE_CHECKING:  # annotations only: the form and classify paths never load these modules
-    from .direct_integral import DecomposableOperator
     from .ergodic import DecompositionReport, ErgodicDecomposition
 
 
@@ -75,41 +66,12 @@ def space_from_json(obj: dict) -> FiniteMeasureSpace:
         raise ErgodecError("'points' and 'mu' must be lists") from None
     if not equal:
         raise ErgodecError("'points' and 'mu' must have equal length")
-    return validate_space(zip(_labels(points), _float_array(mu, "mu", (len(mu),))))
+    return validate_space(zip(map(_label, points), _float_array(mu, "mu", (len(mu),))))
 
 
 def _label(point):
     # JSON lists are unhashable; turn list labels into tuples.
     return tuple(point) if isinstance(point, list) else point
-
-
-def _labels(points) -> tuple:
-    return tuple(map(_label, points))
-
-
-def family_to_json(family: MeasureFamily) -> dict:
-    labels = family.index.labels
-    return {
-        "nu": {str(z): float(family.index.weight(z)) for z in labels},
-        "fibers": {
-            str(z): {
-                "support": list(family.fibers[z].support),
-                "weights": family.fibers[z].weights.tolist(),
-            }
-            for z in labels
-        },
-    }
-
-
-def family_from_json(obj: dict) -> MeasureFamily:
-    nu = obj["nu"]
-    labels = tuple(nu)
-    index = IndexSpace(labels, [float(nu[z]) for z in labels])
-    fibers = {
-        z: Fiber(_labels(obj["fibers"][z]["support"]), obj["fibers"][z]["weights"])
-        for z in labels
-    }
-    return MeasureFamily(index, fibers)
 
 
 def _edge_list(points, matrix) -> list:
@@ -191,27 +153,6 @@ def _check_edges(space: FiniteMeasureSpace, edges) -> None:
             float(w)
         except (TypeError, ValueError, OverflowError):
             raise ErgodecError(f"edge {i} weight is not a number: {reprlib.repr(w)}") from None
-
-
-def block_operator_to_json(op: DecomposableOperator) -> dict:
-    labels = op.family.index.labels
-    return {
-        "nu": {str(z): float(op.family.index.weight(z)) for z in labels},
-        "blocks": {str(z): op.blocks[i].tolist() for i, z in enumerate(labels)},
-    }
-
-
-def block_operator_from_json(obj: dict) -> tuple[IndexSpace, tuple]:
-    """Read the index measure and block matrices of a serialized operator.
-
-    The wire format carries no fiber measures, so the caller assembles the
-    blocks over a direct-integral space of their choosing.
-    """
-    nu = obj["nu"]
-    labels = tuple(nu)
-    index = IndexSpace(labels, [float(nu[z]) for z in labels])
-    blocks = tuple(np.array(obj["blocks"][z], dtype=float) for z in labels)
-    return index, blocks
 
 
 def classification_to_json(cls: Classification) -> dict:
